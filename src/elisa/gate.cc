@@ -1,5 +1,8 @@
 #include "elisa/gate.hh"
 
+#include <optional>
+#include <utility>
+
 #include "base/logging.hh"
 #include "cpu/exit.hh"
 #include "cpu/guest_view.hh"
@@ -15,58 +18,183 @@ namespace
 // usually exist before any tracer is installed.
 sim::TraceNameCache gateCallName("gate_call");
 sim::TraceNameCache gateBatchName("gate_batch");
-sim::TraceNameCache eptpSwitchName("eptp_switch");
-sim::TraceNameCache stackSwapName("stack_swap");
+sim::TraceNameCache switchName("eptp_switch");
+sim::TraceNameCache swapName("stack_swap");
 sim::TraceNameCache payloadName("payload");
-sim::TraceNameCache returnPhaseName("return");
+sim::TraceNameCache returnName("return");
+
+/** What passing one point of the round trip does to the instruments. */
+struct GatePoint
+{
+    std::optional<GateLeg> leg; ///< the leg this point completes
+    std::uint8_t closes;        ///< innermost open spans it ends
+    sim::TraceNameCache *wrap;  ///< span it then begins, without args
+    sim::TraceNameCache *open;  ///< innermost span it begins (point arg)
+};
+
+// The points of one round trip, in execution order. The trace shape
+// is the paper's decomposition: gate_call > {eptp_switch, stack_swap,
+// eptp_switch, payload, return > {eptp_switch, eptp_switch}}; the
+// epilogue has no span of its own. The payload is not a leg: the
+// ledger attributes mechanism cost only (see GateLeg).
+namespace point
+{
+constexpr GatePoint Enter{std::nullopt, 0, nullptr, &switchName};
+constexpr GatePoint EnterSwitch{GateLeg::EnterSwitch, 1, nullptr, &swapName};
+constexpr GatePoint Prologue{GateLeg::Prologue, 1, nullptr, &switchName};
+constexpr GatePoint SubSwitch{GateLeg::SubSwitch, 1, nullptr, nullptr};
+constexpr GatePoint Payload{std::nullopt, 0, nullptr, &payloadName};
+constexpr GatePoint PayloadDone{std::nullopt, 1, nullptr, nullptr};
+constexpr GatePoint Return{std::nullopt, 0, &returnName, &switchName};
+constexpr GatePoint ReturnSwitch{GateLeg::ReturnSwitch, 1, nullptr, nullptr};
+constexpr GatePoint Epilogue{GateLeg::Epilogue, 0, nullptr, &switchName};
+constexpr GatePoint ExitSwitch{GateLeg::ExitSwitch, 2, nullptr, nullptr};
+} // namespace point
 
 /**
- * Span for the traced gate body; the untraced instantiation uses the
- * primary template, an empty no-op, so it compiles to exactly the
- * uninstrumented code (no cleanup landing pads, no member spills).
+ * The raise half of a VMFUNC through a cleared EPTP-list entry: the
+ * instruction's time is spent, then the VM exit is raised.
  */
-template <bool Traced>
-struct GateSpan
+[[noreturn]] void
+staleEntry(cpu::Vcpu &cpu, EptpIndex index)
 {
-    GateSpan(sim::Tracer *, sim::TraceNameCache &, std::uint32_t,
-             const sim::SimClock &, std::uint64_t = 0,
-             std::uint64_t = 0)
-    {}
-
-    void setEndArgs(std::uint64_t, std::uint64_t = 0) {}
-};
-
-template <>
-struct GateSpan<true> : sim::ScopedSpan
-{
-    GateSpan(sim::Tracer *tr, sim::TraceNameCache &name,
-             std::uint32_t track, const sim::SimClock &clock,
-             std::uint64_t a0 = 0, std::uint64_t a1 = 0)
-        : sim::ScopedSpan(tr, sim::SpanCat::Gate, name.get(*tr), track,
-                          clock, a0, a1)
-    {}
-};
+    cpu.clock().advance(cpu.costModel().vmfuncNs);
+    cpu.stats().inc(cpu.statIds().vmfunc);
+    cpu.stats().inc(cpu.statIds().vmfuncFail);
+    throw cpu::VmExitEvent(cpu::ExitReason::VmfuncFail, index);
+}
 
 } // anonymous namespace
+
+/**
+ * The one instrumentation stream of a round trip. Every point goes
+ * through at(): with neither a tracer nor a ledger installed that is
+ * one never-taken branch and no clock read; otherwise one clock read
+ * ends and begins the point's trace spans and observes the leg it
+ * completes, so the spans and the GateLeg rows cannot disagree. A
+ * faulting leg is never charged (the VM runner bills the exit), and
+ * the spans a fault leaves open close at its time on the unwind.
+ */
+class Gate::Probe
+{
+  public:
+    /** Opens the outer span (@p name, @p arg). */
+    Probe(Gate &g, sim::TraceNameCache &name, std::uint64_t arg)
+        : gate(g), on(g.cpuPtr->tracer() || g.cpuPtr->ledger())
+    {
+        if (on) [[unlikely]]
+            start(name, arg);
+    }
+
+    /** Pass @p p; @p arg annotates the innermost span it opens. */
+    void
+    at(const GatePoint &p, std::uint64_t arg = 0)
+    {
+        if (on) [[unlikely]]
+            emit(p, arg);
+    }
+
+    /** A completed round trip: the outer span closes with (a0, a1). */
+    void
+    finish(std::uint64_t a0, std::uint64_t a1)
+    {
+        if (on) [[unlikely]]
+            closeAll(a0, a1);
+    }
+
+    /** A faulted one: what the fault left open closes with (0, 0). */
+    ~Probe()
+    {
+        if (on) [[unlikely]]
+            closeAll(0, 0);
+    }
+
+  private:
+    // The members after `on` are set here and read only when `on`:
+    // the uninstrumented path never stores them.
+    [[gnu::noinline]] void
+    start(sim::TraceNameCache &name, std::uint64_t arg)
+    {
+        cpu::Vcpu &cpu = *gate.cpuPtr;
+        tr = cpu.tracer();
+        led = cpu.ledger();
+        depth = 0;
+        // Leg slots resolve once per ledger instance (serial-guarded,
+        // like TraceNameCache).
+        if (led && gate.ledgerSerial != led->serial()) {
+            registerGateLegNames(*led);
+            for (unsigned l = 0; l < gateLegCount; ++l) {
+                gate.legSlots[l] = led->slot(gate.ownerVm, cpu.id(),
+                                             sim::CostKind::GateLeg, l);
+            }
+            gate.ledgerSerial = led->serial();
+        }
+        legStart = cpu.clock().now();
+        if (tr)
+            begin(name, legStart, arg);
+    }
+
+    // Inlined into each point, where the point's constexpr spec folds
+    // away: the traced path does only the work that point names.
+    [[gnu::always_inline]] void
+    emit(const GatePoint &p, std::uint64_t arg)
+    {
+        const SimNs now = gate.cpuPtr->clock().now();
+        if (tr) {
+            for (unsigned i = 0; i < p.closes; ++i)
+                end(now, 0, 0);
+            if (p.wrap)
+                begin(*p.wrap, now, 0);
+            if (p.open)
+                begin(*p.open, now, arg);
+        }
+        if (led && p.leg)
+            led->observe(gate.legSlots[static_cast<unsigned>(*p.leg)],
+                         now - legStart);
+        legStart = now;
+    }
+
+    [[gnu::noinline]] void
+    closeAll(std::uint64_t a0, std::uint64_t a1)
+    {
+        const SimNs now = gate.cpuPtr->clock().now();
+        while (tr && depth > 0)
+            end(now, depth == 1 ? a0 : 0, depth == 1 ? a1 : 0);
+    }
+
+    void
+    begin(sim::TraceNameCache &name, SimNs now, std::uint64_t arg)
+    {
+        spans[depth] = name.get(*tr);
+        tr->begin(sim::SpanCat::Gate, spans[depth++], gate.cpuPtr->id(),
+                  now, arg);
+    }
+
+    void
+    end(SimNs now, std::uint64_t a0, std::uint64_t a1)
+    {
+        tr->end(sim::SpanCat::Gate, spans[--depth], gate.cpuPtr->id(), now,
+                a0, a1);
+    }
+
+    Gate &gate;
+    const bool on;
+    sim::Tracer *tr;
+    sim::ExitLedger *led;
+    SimNs legStart;
+    /** Open spans, outermost first: at most outer > return > switch. */
+    sim::TraceNameId spans[3];
+    unsigned depth;
+};
 
 const char *
 gateLegToString(GateLeg leg)
 {
-    switch (leg) {
-      case GateLeg::EnterSwitch:
-        return "enter_switch";
-      case GateLeg::Prologue:
-        return "prologue";
-      case GateLeg::SubSwitch:
-        return "sub_switch";
-      case GateLeg::ReturnSwitch:
-        return "return_switch";
-      case GateLeg::Epilogue:
-        return "epilogue";
-      case GateLeg::ExitSwitch:
-        return "exit_switch";
-    }
-    return "?";
+    static const char *const names[gateLegCount] = {
+        "enter_switch",  "prologue", "sub_switch",
+        "return_switch", "epilogue", "exit_switch"};
+    const auto l = static_cast<unsigned>(leg);
+    return l < gateLegCount ? names[l] : "?";
 }
 
 void
@@ -78,19 +206,6 @@ registerGateLegNames(sim::ExitLedger &ledger)
     }
 }
 
-void
-Gate::resolveLegSlots(sim::ExitLedger &ledger)
-{
-    if (ledgerSerial == ledger.serial())
-        return;
-    registerGateLegNames(ledger);
-    for (unsigned l = 0; l < gateLegCount; ++l) {
-        legSlots[l] = ledger.slot(ownerVm, cpuPtr->id(),
-                                  sim::CostKind::GateLeg, l);
-    }
-    ledgerSerial = ledger.serial();
-}
-
 Gate::Gate(cpu::Vcpu &vcpu, ElisaService &service, const AttachInfo &info)
     : cpuPtr(&vcpu), svc(&service), attachInfo(info), ownerVm(vcpu.vm())
 {
@@ -100,15 +215,8 @@ Gate::Gate(cpu::Vcpu &vcpu, ElisaService &service, const AttachInfo &info)
 }
 
 Gate::Gate(Gate &&other) noexcept
-    : cpuPtr(other.cpuPtr), svc(other.svc), attachInfo(other.attachInfo),
-      ownerVm(other.ownerVm), callsId(other.callsId),
-      batchedFnsId(other.batchedFnsId), badFnId(other.badFnId),
-      ledgerSerial(other.ledgerSerial)
 {
-    for (unsigned l = 0; l < gateLegCount; ++l)
-        legSlots[l] = other.legSlots[l];
-    other.cpuPtr = nullptr;
-    other.svc = nullptr;
+    *this = std::move(other);
 }
 
 Gate &
@@ -121,18 +229,15 @@ Gate::operator=(Gate &&other) noexcept
             // Same contract as the destructor: the replaced handle is
             // gone either way and host-side teardown is idempotent.
         }
-        cpuPtr = other.cpuPtr;
-        svc = other.svc;
+        cpuPtr = std::exchange(other.cpuPtr, nullptr);
+        svc = std::exchange(other.svc, nullptr);
         attachInfo = other.attachInfo;
         ownerVm = other.ownerVm;
         callsId = other.callsId;
         batchedFnsId = other.batchedFnsId;
         badFnId = other.badFnId;
         ledgerSerial = other.ledgerSerial;
-        for (unsigned l = 0; l < gateLegCount; ++l)
-            legSlots[l] = other.legSlots[l];
-        other.cpuPtr = nullptr;
-        other.svc = nullptr;
+        legSlots = other.legSlots;
     }
     return *this;
 }
@@ -173,26 +278,6 @@ Gate::detach()
 }
 
 void
-Gate::maybeInjectStale() const
-{
-    sim::FaultPlan *plan = svc->hypervisor().faultPlan();
-    if (!plan)
-        return;
-    const sim::FaultDecision fault = plan->onGateCall(cpuPtr->vm());
-    if (fault.action != sim::FaultAction::GateStale)
-        return;
-    // Model a concurrent revocation racing this call: the gate's
-    // EPTP-list entry is already gone, so the entry VMFUNC faults
-    // into a VM exit exactly like Vcpu::vmfunc on an invalid index.
-    cpu::Vcpu &cpu = *cpuPtr;
-    cpu.clock().advance(cpu.costModel().vmfuncNs);
-    cpu.stats().inc(cpu.statIds().vmfunc);
-    cpu.stats().inc(cpu.statIds().vmfuncFail);
-    throw cpu::VmExitEvent(cpu::ExitReason::VmfuncFail,
-                           attachInfo.gateIndex);
-}
-
-void
 Gate::maybeExpire()
 {
     if (attachInfo.expiresNs == 0)
@@ -209,19 +294,7 @@ Gate::maybeExpire()
     svc->expireCapability(attachInfo.capability, cpu);
     cpuPtr = nullptr;
     svc = nullptr;
-    cpu.clock().advance(cpu.costModel().vmfuncNs);
-    cpu.stats().inc(cpu.statIds().vmfunc);
-    cpu.stats().inc(cpu.statIds().vmfuncFail);
-    throw cpu::VmExitEvent(cpu::ExitReason::VmfuncFail, gate_index);
-}
-
-const SharedFnTable &
-Gate::resolveTable() const
-{
-    Attachment *attach = svc->attachment(attachInfo.attachment);
-    panic_if(attach == nullptr,
-             "attachment vanished while its EPTP stayed installed");
-    return attach->exportRecord().functions();
+    staleEntry(cpu, gate_index);
 }
 
 void
@@ -243,145 +316,9 @@ Gate::call(unsigned fn, std::uint64_t arg0, std::uint64_t arg1,
 {
     panic_if(!valid(), "call through an invalid gate");
     maybeExpire();
-    // The whole instrumentation decision is these two branches (see
-    // callImpl): the plain instantiation is the uninstrumented code.
-    const bool ledgered = cpuPtr->ledger() != nullptr;
-    if (cpuPtr->tracer()) {
-        return ledgered ? callImpl<true, true>(fn, arg0, arg1, arg2)
-                        : callImpl<true, false>(fn, arg0, arg1, arg2);
-    }
-    return ledgered ? callImpl<false, true>(fn, arg0, arg1, arg2)
-                    : callImpl<false, false>(fn, arg0, arg1, arg2);
-}
-
-template <bool Traced, bool Ledgered>
-std::uint64_t
-Gate::callImpl(unsigned fn, std::uint64_t arg0, std::uint64_t arg1,
-               std::uint64_t arg2)
-{
-    cpu::Vcpu &cpu = *cpuPtr;
-    const sim::CostModel &cost = cpu.costModel();
-    const EptpIndex caller_index = cpu.activeIndex();
-    sim::Tracer *tr = Traced ? cpu.tracer() : nullptr;
-    const std::uint32_t track = cpu.id();
-
-    // Ledgered instantiation: per-leg simulated-clock deltas, charged
-    // only on leg completion so a faulting leg is attributed to the
-    // exit (by the VM runner), never double-counted here.
-    sim::ExitLedger *led = nullptr;
-    SimNs leg_start = 0;
-    if constexpr (Ledgered) {
-        led = cpu.ledger();
-        resolveLegSlots(*led);
-    }
-    auto charge_leg = [&](GateLeg leg) {
-        const SimNs now = cpu.clock().now();
-        led->observe(legSlots[static_cast<unsigned>(leg)],
-                     now - leg_start);
-        leg_start = now;
-    };
-
-    // Whole-call span: opened before the stale-EPTP injection point so
-    // a faulted entry is attributed to this call; the RAII end closes
-    // it on every unwind path. A successful call stamps (ret, fn+1) on
-    // the close; a faulted one leaves (0, 0).
-    GateSpan<Traced> call_span(tr, gateCallName, track, cpu.clock(), fn);
-    maybeInjectStale();
-
-    if constexpr (Ledgered)
-        leg_start = cpu.clock().now();
-
-    // --- enter: default -> gate ------------------------------------
-    {
-        GateSpan<Traced> s(tr, eptpSwitchName, track, cpu.clock(),
-                           attachInfo.gateIndex);
-        cpu.vmfunc(0, attachInfo.gateIndex);
-    }
-    if constexpr (Ledgered)
-        charge_leg(GateLeg::EnterSwitch);
-
-    // Gate prologue: the trampoline must be executable here, and the
-    // spill area must live on the isolated stack. Non-charging view:
-    // checks real, time folded into gateCodeNs.
-    cpu::GuestView gate_view(cpu, /*charge_time=*/false);
-    {
-        GateSpan<Traced> s(tr, stackSwapName, track, cpu.clock());
-        gate_view.fetchCheck(gateCodeGpa);
-        const std::uint64_t spill[4] = {caller_index, arg0, arg1, arg2};
-        gate_view.writeBytes(gateStackGpa, spill, sizeof(spill));
-        cpu.clock().advance(cost.gateCodeNs);
-    }
-    if constexpr (Ledgered)
-        charge_leg(GateLeg::Prologue);
-
-    // --- gate -> sub --------------------------------------------------
-    {
-        GateSpan<Traced> s(tr, eptpSwitchName, track, cpu.clock(),
-                           attachInfo.subIndex);
-        cpu.vmfunc(0, attachInfo.subIndex);
-    }
-    if constexpr (Ledgered)
-        charge_leg(GateLeg::SubSwitch);
-
-    const SharedFnTable &table = resolveTable();
-    if (fn >= table.size())
-        badFn(fn);
-
-    // Run the shared function under the sub context with a charging
-    // view: every byte it touches is translated, checked, and costed.
-    // A fault inside the shared function unwinds through the gate; the
-    // vCPU is parked back in its default context by the VM runner's
-    // fault policy, so nothing needs restoring here.
-    cpu::GuestView sub_view(cpu);
-    SubCallCtx ctx{sub_view,
-                   objectGpa,
-                   attachInfo.objectBytes,
-                   exchangeGpa,
-                   attachInfo.exchangeBytes,
-                   arg0,
-                   arg1,
-                   arg2};
-    std::uint64_t ret;
-    {
-        GateSpan<Traced> s(tr, payloadName, track, cpu.clock(), fn);
-        ret = table[fn](ctx);
-    }
-
-    // Payload time belongs to the shared function, not the mechanism:
-    // restart the leg clock at the return phase.
-    if constexpr (Ledgered)
-        leg_start = cpu.clock().now();
-
-    {
-        GateSpan<Traced> s(tr, returnPhaseName, track, cpu.clock());
-        // --- sub -> gate ------------------------------------------
-        {
-            GateSpan<Traced> sw(tr, eptpSwitchName, track, cpu.clock(),
-                                attachInfo.gateIndex);
-            cpu.vmfunc(0, attachInfo.gateIndex);
-        }
-        if constexpr (Ledgered)
-            charge_leg(GateLeg::ReturnSwitch);
-
-        // Gate epilogue: reload the spill, verify trampoline still
-        // there.
-        gate_view.fetchCheck(gateCodeGpa);
-        std::uint64_t restore[4];
-        gate_view.readBytes(gateStackGpa, restore, sizeof(restore));
-        cpu.clock().advance(cost.gateCodeNs);
-        if constexpr (Ledgered)
-            charge_leg(GateLeg::Epilogue);
-
-        // --- gate -> default --------------------------------------
-        GateSpan<Traced> sw(tr, eptpSwitchName, track, cpu.clock(),
-                            restore[0]);
-        cpu.vmfunc(0, static_cast<EptpIndex>(restore[0]));
-        if constexpr (Ledgered)
-            charge_leg(GateLeg::ExitSwitch);
-    }
-    cpu.stats().inc(callsId);
-    call_span.setEndArgs(ret, fn + 1);
-    return ret;
+    BatchEntry entry{fn, arg0, arg1, arg2};
+    roundTrip({&entry, 1}, false);
+    return entry.ret;
 }
 
 std::size_t
@@ -391,109 +328,97 @@ Gate::callBatch(std::span<BatchEntry> entries)
     maybeExpire();
     if (entries.empty())
         return 0;
-    // Same single-branch instrumentation decisions as call().
-    const bool ledgered = cpuPtr->ledger() != nullptr;
-    if (cpuPtr->tracer()) {
-        return ledgered ? callBatchImpl<true, true>(entries)
-                        : callBatchImpl<true, false>(entries);
-    }
-    return ledgered ? callBatchImpl<false, true>(entries)
-                    : callBatchImpl<false, false>(entries);
+    roundTrip(entries, true);
+    return entries.size();
 }
 
-template <bool Traced, bool Ledgered>
-std::size_t
-Gate::callBatchImpl(std::span<BatchEntry> entries)
+void
+Gate::roundTrip(std::span<BatchEntry> entries, bool batch)
 {
     cpu::Vcpu &cpu = *cpuPtr;
     const sim::CostModel &cost = cpu.costModel();
     const EptpIndex caller_index = cpu.activeIndex();
-    sim::Tracer *tr = Traced ? cpu.tracer() : nullptr;
-    const std::uint32_t track = cpu.id();
+    const BatchEntry &first = entries.front();
 
-    sim::ExitLedger *led = nullptr;
-    SimNs leg_start = 0;
-    if constexpr (Ledgered) {
-        led = cpu.ledger();
-        resolveLegSlots(*led);
-    }
-    auto charge_leg = [&](GateLeg leg) {
-        const SimNs now = cpu.clock().now();
-        led->observe(legSlots[static_cast<unsigned>(leg)],
-                     now - leg_start);
-        leg_start = now;
-    };
+    // The outer span opens before the stale-EPTP injection point so a
+    // faulted entry is attributed to this round trip. A completed one
+    // stamps (ret, fn + 1) — a batch (n, 1) — on the close; a faulted
+    // one leaves (0, 0).
+    Probe probe(*this, batch ? gateBatchName : gateCallName,
+                batch ? entries.size() : first.fn);
+    // A FaultPlan GateStale decision models a revocation racing this
+    // call: the gate's EPTP-list entry is already gone, so the entry
+    // VMFUNC faults exactly like Vcpu::vmfunc on an invalid index.
+    sim::FaultPlan *plan = svc->hypervisor().faultPlan();
+    if (plan && plan->onGateCall(cpu.vm()).action ==
+                    sim::FaultAction::GateStale)
+        staleEntry(cpu, attachInfo.gateIndex);
 
-    GateSpan<Traced> call_span(tr, gateBatchName, track, cpu.clock(),
-                               entries.size());
-    maybeInjectStale();
+    // --- enter: default -> gate ------------------------------------
+    probe.at(point::Enter, attachInfo.gateIndex);
+    cpu.vmfunc(0, attachInfo.gateIndex);
+    probe.at(point::EnterSwitch);
 
-    if constexpr (Ledgered)
-        leg_start = cpu.clock().now();
+    // Gate prologue: the trampoline must be executable here, and the
+    // spill area (caller's EPTP index, argument registers — a batch's
+    // first entry) must live on the isolated stack. Non-charging view:
+    // checks real, time folded into gateCodeNs.
+    cpu::GuestView gate_view(cpu, /*charge_time=*/false);
+    gate_view.fetchCheck(gateCodeGpa);
+    const std::uint64_t spill[4] = {caller_index, first.arg0, first.arg1,
+                                    first.arg2};
+    gate_view.writeBytes(gateStackGpa, spill, sizeof(spill));
+    cpu.clock().advance(cost.gateCodeNs);
+    probe.at(point::Prologue, attachInfo.subIndex);
 
-    // One transition in...
-    {
-        GateSpan<Traced> s(tr, stackSwapName, track, cpu.clock());
-        cpu.vmfunc(0, attachInfo.gateIndex);
-        if constexpr (Ledgered)
-            charge_leg(GateLeg::EnterSwitch);
-        cpu::GuestView gate_view(cpu, /*charge_time=*/false);
-        gate_view.fetchCheck(gateCodeGpa);
-        const std::uint64_t spill[2] = {caller_index, entries.size()};
-        gate_view.writeBytes(gateStackGpa, spill, sizeof(spill));
-        cpu.clock().advance(cost.gateCodeNs);
-        if constexpr (Ledgered)
-            charge_leg(GateLeg::Prologue);
-        cpu.vmfunc(0, attachInfo.subIndex);
-        if constexpr (Ledgered)
-            charge_leg(GateLeg::SubSwitch);
-    }
+    // --- gate -> sub --------------------------------------------------
+    cpu.vmfunc(0, attachInfo.subIndex);
+    probe.at(point::SubSwitch);
 
-    const SharedFnTable &table = resolveTable();
-
-    // ...every entry back-to-back under the sub context...
+    // Run the shared functions back to back under the sub context with
+    // a charging view: every byte they touch is translated, checked,
+    // and costed. A fault inside one unwinds through the gate; the
+    // vCPU is parked back in its default context by the VM runner's
+    // fault policy, so nothing needs restoring here.
+    Attachment *attach = svc->attachment(attachInfo.attachment);
+    panic_if(attach == nullptr,
+             "attachment vanished while its EPTP stayed installed");
+    const SharedFnTable &table = attach->exportRecord().functions();
     cpu::GuestView sub_view(cpu);
-    {
-        GateSpan<Traced> s(tr, payloadName, track, cpu.clock(),
-                           entries.size());
-        for (BatchEntry &entry : entries) {
-            if (entry.fn >= table.size())
-                badFn(entry.fn);
-            SubCallCtx ctx{sub_view,
-                           objectGpa,
-                           attachInfo.objectBytes,
-                           exchangeGpa,
-                           attachInfo.exchangeBytes,
-                           entry.arg0,
-                           entry.arg1,
-                           entry.arg2};
-            entry.ret = table[entry.fn](ctx);
-        }
+    for (BatchEntry &entry : entries) {
+        if (entry.fn >= table.size())
+            badFn(entry.fn);
+        SubCallCtx ctx{sub_view, objectGpa, attachInfo.objectBytes,
+                       exchangeGpa, attachInfo.exchangeBytes, entry.arg0,
+                       entry.arg1, entry.arg2};
+        probe.at(point::Payload, entry.fn);
+        entry.ret = table[entry.fn](ctx);
+        probe.at(point::PayloadDone);
     }
 
-    // ...one transition out.
-    if constexpr (Ledgered)
-        leg_start = cpu.clock().now();
-    {
-        GateSpan<Traced> s(tr, returnPhaseName, track, cpu.clock());
-        cpu.vmfunc(0, attachInfo.gateIndex);
-        if constexpr (Ledgered)
-            charge_leg(GateLeg::ReturnSwitch);
-        cpu::GuestView gate_view(cpu, /*charge_time=*/false);
-        gate_view.fetchCheck(gateCodeGpa);
-        std::uint64_t restore[2];
-        gate_view.readBytes(gateStackGpa, restore, sizeof(restore));
-        cpu.clock().advance(cost.gateCodeNs);
-        if constexpr (Ledgered)
-            charge_leg(GateLeg::Epilogue);
-        cpu.vmfunc(0, static_cast<EptpIndex>(restore[0]));
-        if constexpr (Ledgered)
-            charge_leg(GateLeg::ExitSwitch);
-    }
+    // --- sub -> gate --------------------------------------------------
+    probe.at(point::Return, attachInfo.gateIndex);
+    cpu.vmfunc(0, attachInfo.gateIndex);
+    probe.at(point::ReturnSwitch);
+
+    // Gate epilogue: reload the spill, verify trampoline still there.
+    gate_view.fetchCheck(gateCodeGpa);
+    std::uint64_t restore[4];
+    gate_view.readBytes(gateStackGpa, restore, sizeof(restore));
+    cpu.clock().advance(cost.gateCodeNs);
+    probe.at(point::Epilogue, restore[0]);
+
+    // --- gate -> default ----------------------------------------------
+    cpu.vmfunc(0, static_cast<EptpIndex>(restore[0]));
+    probe.at(point::ExitSwitch);
+
     cpu.stats().inc(callsId);
-    cpu.stats().inc(batchedFnsId, entries.size());
-    call_span.setEndArgs(entries.size(), 1);
-    return entries.size();
+    if (batch) {
+        cpu.stats().inc(batchedFnsId, entries.size());
+        probe.finish(entries.size(), 1);
+    } else {
+        probe.finish(first.ret, first.fn + 1);
+    }
 }
 
 void

@@ -23,6 +23,7 @@
 #ifndef ELISA_ELISA_GATE_HH
 #define ELISA_ELISA_GATE_HH
 
+#include <array>
 #include <cstdint>
 #include <span>
 
@@ -161,45 +162,19 @@ class Gate
                       std::uint64_t len);
 
   private:
-    /**
-     * The call() body, instantiated per (traced, ledgered) decision.
-     * Both decisions are single branches in call(): the plain
-     * instantiation contains no span objects and no clock reads at
-     * all, because even an inert ScopedSpan needs exception-cleanup
-     * landing pads whose member spills cost several ns on the 196 ns
-     * gate call — and the ledger's per-leg clock deltas would cost
-     * the same again.
-     */
-    template <bool Traced, bool Ledgered>
-    std::uint64_t callImpl(unsigned fn, std::uint64_t arg0,
-                           std::uint64_t arg1, std::uint64_t arg2);
-
-    /** The callBatch() body; same single-branch scheme as callImpl. */
-    template <bool Traced, bool Ledgered>
-    std::size_t callBatchImpl(std::span<BatchEntry> entries);
+    /** The instrumentation stream of one round trip (gate.cc). */
+    class Probe;
 
     /**
-     * Resolve (once per ledger instance, serial-guarded) this gate's
-     * six GateLeg slots and register the leg display names.
+     * The one round-trip body behind call() and callBatch(): enter,
+     * run every entry under the sub context, leave. call() is the
+     * one-entry case; @p batch only picks the outer span's name and
+     * args and the elisa_batched_fns count.
      */
-    [[gnu::noinline]] void resolveLegSlots(sim::ExitLedger &ledger);
-
-    /**
-     * Resolve the shared-function table, faulting like the MMU would
-     * on an out-of-range function id (a jump to an unmapped
-     * sub-context address). Shared by call() and callBatch().
-     */
-    const SharedFnTable &resolveTable() const;
+    void roundTrip(std::span<BatchEntry> entries, bool batch);
 
     /** Raise the fetch fault for an out-of-range function id. */
     [[noreturn]] void badFn(unsigned fn) const;
-
-    /**
-     * Consult the machine's FaultPlan (if any) before entering the
-     * gate; a GateStale decision raises the stale-EPTP VMFUNC fault a
-     * concurrent revocation would cause.
-     */
-    void maybeInjectStale() const;
 
     /**
      * Lazy grant expiry: when the attachment's grant carries a lapse
@@ -222,10 +197,9 @@ class Gate
     sim::StatId callsId = 0;
     sim::StatId batchedFnsId = 0;
     sim::StatId badFnId = 0;
-    // Ledger leg slots, resolved once per ledger instance
-    // (serial-guarded, like TraceNameCache).
+    // Ledger leg slots, resolved by Probe once per ledger instance.
     std::uint64_t ledgerSerial = 0;
-    sim::LedgerSlot legSlots[gateLegCount] = {};
+    std::array<sim::LedgerSlot, gateLegCount> legSlots = {};
 };
 
 } // namespace elisa::core

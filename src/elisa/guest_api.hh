@@ -9,10 +9,9 @@
  * value-typed ExportKey, every successful attach carries the
  * Capability backing it (delegable peer-to-peer, see
  * elisa/capability.hh), and a received capability is turned into a
- * Gate with redeem(). Raw-string addressing is in its one deprecation
- * release. The pre-AttachResult surface (attach()/completeAttach()
- * plus stateful lastDenied()-style flags) went through its release and
- * is gone.
+ * Gate with redeem(). Raw-string addressing and the pre-AttachResult
+ * surface (attach()/completeAttach() plus stateful lastDenied()-style
+ * flags) went through their deprecation releases and are gone.
  */
 
 #ifndef ELISA_ELISA_GUEST_API_HH
@@ -136,13 +135,6 @@ class ElisaGuest
      */
     std::optional<RequestId> requestAttach(const ExportKey &key);
 
-    [[deprecated("address exports with an ExportKey")]]
-    std::optional<RequestId>
-    requestAttach(const std::string &name)
-    {
-        return requestAttach(ExportKey(name));
-    }
-
     /**
      * Query an in-flight request once (one Query hypercall).
      * @return Attached (with the Gate), Pending (poll again with the
@@ -157,13 +149,6 @@ class ElisaGuest
      * its queue + poll, in one call.
      */
     AttachResult tryAttach(const ExportKey &key, ElisaManager &manager);
-
-    [[deprecated("address exports with an ExportKey")]]
-    AttachResult
-    tryAttach(const std::string &name, ElisaManager &manager)
-    {
-        return tryAttach(ExportKey(name), manager);
-    }
 
     /**
      * Robust attach: bounded retry with exponential backoff (simulated
@@ -184,16 +169,6 @@ class ElisaGuest
                                  const std::function<void()> &pump = {},
                                  unsigned max_tries = 8,
                                  SimNs backoff_ns = 2000);
-
-    [[deprecated("address exports with an ExportKey")]]
-    AttachResult
-    attachWithRetry(const std::string &name,
-                    const std::function<void()> &pump = {},
-                    unsigned max_tries = 8, SimNs backoff_ns = 2000)
-    {
-        return attachWithRetry(ExportKey(name), pump, max_tries,
-                               backoff_ns);
-    }
 
     /**
      * Redeem a capability this VM holds into an attachment on this

@@ -4,7 +4,6 @@
 
 #include "base/logging.hh"
 #include "base/strutil.hh"
-#include "base/trace.hh"
 #include "cpu/guest_view.hh"
 
 namespace elisa::core
@@ -474,9 +473,6 @@ ElisaService::hcExport(cpu::Vcpu &vcpu, const cpu::HypercallArgs &args)
                             std::move(staged->second)));
     stagedFns.erase(staged);
     hyper.stats().inc("elisa_exports");
-    ELISA_TRACE(Elisa, "export %u '%s' by VM %u (%llu KiB)", id,
-                name.c_str(), caller,
-                (unsigned long long)(obj_bytes >> 10));
     return id;
 }
 
@@ -596,10 +592,6 @@ ElisaService::hcApprove(cpu::Vcpu &vcpu, const cpu::HypercallArgs &args)
 
     req.state = RequestState::Approved;
     req.info = attach->info();
-    ELISA_TRACE(Elisa,
-                "approved request %u: attachment %u, gate idx %u, "
-                "sub idx %u",
-                req.id, aid, req.info.gateIndex, req.info.subIndex);
     attachments.emplace(aid, std::move(attach));
     return 0;
 }
@@ -659,8 +651,6 @@ ElisaService::hcAttachRequest(cpu::Vcpu &vcpu,
     req.vcpuIndex = vcpu_index;
     req.name = std::move(name);
     req.createdNs = vcpu.clock().now();
-    ELISA_TRACE(Elisa, "attach request %u: VM %u -> '%s'", rid,
-                vcpu.vm(), req.name.c_str());
     requests.emplace(rid, std::move(req));
     mgr->second.push_back(rid);
     if (sim::Tracer *tr = hyper.tracer()) {
@@ -757,8 +747,6 @@ ElisaService::hcDetach(cpu::Vcpu &vcpu, const cpu::HypercallArgs &args)
     if (it->second->guestVm() != vcpu.vm())
         return hv::hcError;
     vcpu.clock().advance(hyper.cost().negotiationHopNs);
-    ELISA_TRACE(Elisa, "detach attachment %llu by VM %u",
-                (unsigned long long)args.arg0, vcpu.vm());
     // Detach is grant teardown by another name: the attachment's grant
     // subtree — including any delegation the guest handed onward — is
     // torn down in the one canonical order.
@@ -791,9 +779,6 @@ ElisaService::hcRevoke(cpu::Vcpu &vcpu, const cpu::HypercallArgs &args)
         return hv::hcError;
     vcpu.clock().advance(hyper.cost().negotiationHopNs);
     const std::string name = it->second->name();
-    ELISA_TRACE(Elisa, "revoke export %llu '%s' by VM %u",
-                (unsigned long long)args.arg0, name.c_str(),
-                vcpu.vm());
     return revokeExport(name) ? 0 : hv::hcError;
 }
 
@@ -871,12 +856,6 @@ ElisaService::hcDelegate(cpu::Vcpu &vcpu,
         mintGrant(g.id, g.exportId, vcpu.vm(), target, g.offset + off,
                   len, child_perms, expires);
     hyper.stats().inc(delegationsId);
-    ELISA_TRACE(Elisa,
-                "delegate grant %llu -> %llu: VM %u -> VM %u "
-                "(%llu KiB @ +%llu)",
-                (unsigned long long)g.id, (unsigned long long)child,
-                vcpu.vm(), target, (unsigned long long)(len >> 10),
-                (unsigned long long)off);
     if (sim::Tracer *tr = hyper.tracer()) {
         tr->asyncBegin(sim::SpanCat::Negotiation, capSpanName.get(*tr),
                        child, vcpu.id(), vcpu.clock().now(),
@@ -967,8 +946,6 @@ ElisaService::hcRedeem(cpu::Vcpu &vcpu, const cpu::HypercallArgs &args)
     view.write(args.arg1, wire);
 
     hyper.stats().inc(redeemsId);
-    ELISA_TRACE(Elisa, "redeem grant %llu: attachment %u on VM %u",
-                (unsigned long long)g.id, aid, vcpu.vm());
     if (sim::Tracer *tr = hyper.tracer()) {
         tr->asyncInstant(sim::SpanCat::Negotiation,
                          capRedeemedName.get(*tr), g.id, vcpu.id(),
@@ -1020,8 +997,6 @@ ElisaService::hcCapRevoke(cpu::Vcpu &vcpu,
         return hv::hcError;
 
     vcpu.clock().advance(hyper.cost().negotiationHopNs);
-    ELISA_TRACE(Elisa, "revoke grant %llu by VM %u",
-                (unsigned long long)id, vcpu.vm());
     teardownGrant(id, CapTeardown::Revoke, &vcpu);
     return 0;
 }

@@ -4,7 +4,6 @@
 
 #include "base/logging.hh"
 #include "base/strutil.hh"
-#include "base/trace.hh"
 #include "cpu/guest_view.hh"
 
 namespace elisa::hv
@@ -50,9 +49,6 @@ Hypervisor::createVm(const std::string &name, std::uint64_t ram_bytes,
         vcpuOwner[ref.vcpu(i).id()] = id;
     vms.emplace(id, std::move(vm));
     statSet.inc("vm_created");
-    ELISA_TRACE(Hv, "created VM %u '%s' (%llu MiB RAM)", id,
-                ref.name().c_str(),
-                (unsigned long long)(ram_bytes >> 20));
     return ref;
 }
 
@@ -101,7 +97,6 @@ Hypervisor::destroyVm(VmId id)
     vms.erase(it);
     frames.dropOwner(id);
     statSet.inc("vm_destroyed");
-    ELISA_TRACE(Hv, "destroyed VM %u", id);
 }
 
 void

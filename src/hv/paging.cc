@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "base/logging.hh"
-#include "base/trace.hh"
 #include "hv/hypervisor.hh"
 
 namespace elisa::hv
@@ -99,11 +98,6 @@ Pager::manageRange(VmId owner, ept::Ept &ept, Gpa gpa, Hpa hpa,
     }
     // Demoted leaves may be cached; flush the context once.
     hv.inveptAll(eptp);
-    ELISA_TRACE(Hv,
-                "pager manages %llu pages of VM %u at HPA %llx (%s)",
-                (unsigned long long)(len / pageSize), owner,
-                (unsigned long long)hpa,
-                demand_zero ? "demand-zero" : "resident");
 }
 
 void

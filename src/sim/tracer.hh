@@ -33,6 +33,7 @@
 #ifndef ELISA_SIM_TRACER_HH
 #define ELISA_SIM_TRACER_HH
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -229,29 +230,40 @@ class Tracer
  * Per-site cache of one interned name. Instrumented objects that may
  * be constructed before a Tracer is installed hold one of these; the
  * first emission against a given Tracer pays the intern, subsequent
- * ones are a pointer compare.
+ * ones are a compare.
+ *
+ * One cache may serve several tracers at once: machines on different
+ * engine threads each have their own, and a site-wide cache (the
+ * gate's span names) is hit from all of them. The owner serial and
+ * the id therefore share one atomic word, so a reader never pairs one
+ * tracer's serial with another's id.
  */
 class TraceNameCache
 {
   public:
     explicit TraceNameCache(const char *name) : text(name) {}
 
+    /** Copies start unresolved (the atomic word is not copied). */
+    TraceNameCache(const TraceNameCache &other) : text(other.text) {}
+
     TraceNameId
     get(Tracer &tracer)
     {
         // Keyed by serial, not address: a fresh Tracer can reuse a
         // dead one's address while interning none of its names.
-        if (owner != tracer.serial()) {
-            id = tracer.intern(text);
-            owner = tracer.serial();
+        const std::uint64_t owner = tracer.serial() << 16;
+        std::uint64_t word = packed.load(std::memory_order_relaxed);
+        if ((word & ~std::uint64_t{0xffff}) != owner) {
+            word = owner | tracer.intern(text);
+            packed.store(word, std::memory_order_relaxed);
         }
-        return id;
+        return static_cast<TraceNameId>(word);
     }
 
   private:
     const char *text;
-    std::uint64_t owner = 0; ///< serial() of the interning Tracer
-    TraceNameId id = 0;
+    /** serial() of the interning Tracer << 16 | its id; 0 = none. */
+    std::atomic<std::uint64_t> packed{0};
 };
 
 /**

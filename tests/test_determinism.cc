@@ -743,6 +743,9 @@ TEST(Determinism, PagedMachinesFingerprintIdenticalAcrossThreadCounts)
 struct TelemetryMachine
 {
     hv::Hypervisor hv{256 * MiB};
+    // Outlives every gate below: their destructors detach through the
+    // hypervisor, which still consults this plan.
+    sim::FaultPlan plan;
     sim::Tracer tracer{4096};
     sim::ExitLedger ledger;
     sim::FlightRecorder recorder{64};
@@ -762,7 +765,6 @@ struct TelemetryMachine
     std::optional<core::Gate> wgate;
     sim::MetricId depth = 0;
     VmId victimId = invalidVmId;
-    sim::FaultPlan plan;
 
     TelemetryMachine(unsigned shard)
         : manager_vm(hv.createVm("manager", 64 * MiB)),

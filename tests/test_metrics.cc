@@ -390,10 +390,11 @@ TEST(EngineSampler, SamplesMetricsConsistently)
 
 // ===================================================================
 // The overhead budget: the ledger compiled in but not installed must
-// cost BM_GateCall at most 2%. Like the tracer, Gate::call() splits
-// on a template parameter at dispatch, so the disabled cost is one
-// pointer test per call — we replicate it 4x per iteration to
-// overstate. Measured in wall-clock time; grep-able line for CI.
+// cost BM_GateCall at most 2%. The gate body feeds the tracer and the
+// ledger from one probe, so a call with neither installed pays the
+// probe's null tests: two pointer tests computing its flag, then 13
+// tests of the flag (constructor, ten leg-sequence points, finish,
+// destructor). Measured in wall-clock time; grep-able line for CI.
 // ===================================================================
 
 TEST(MetricsOverhead, DisabledLedgerWithinBudget)
@@ -430,11 +431,10 @@ TEST(MetricsOverhead, DisabledLedgerWithinBudget)
     }
 
     // The disabled hook primitive: one pointer load + never-taken
-    // branch at the Gate::call dispatch. Measured as the delta
-    // between two identical loops, the hooked one carrying 4
-    // replicas per iteration (4x the real per-call count — the
-    // template split leaves exactly one). The opaque call keeps the
-    // loads from being hoisted, which overstates the real cost.
+    // branch. Measured as the delta between two identical loops, the
+    // hooked one carrying 15 replicas per iteration (the probe's
+    // per-call count, see above). The opaque call keeps the loads
+    // from being hoisted, which overstates the real cost.
     struct Host
     {
         sim::ExitLedger *led = nullptr;
@@ -443,7 +443,7 @@ TEST(MetricsOverhead, DisabledLedgerWithinBudget)
         asm volatile("" : : "r"(h) : "memory");
     };
     constexpr std::uint64_t iters = 2000000;
-    constexpr unsigned hooksPerCall = 4;
+    constexpr unsigned hooksPerCall = 15;
     std::uint64_t sink = 0;
 
     double base_ns = 1e9, hooked_ns = 1e9;
