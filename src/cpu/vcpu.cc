@@ -47,31 +47,86 @@ void
 Vcpu::setLedger(sim::ExitLedger *ledger)
 {
     ledgerPtr = ledger;
-    hypercallSlots.clear();
-    if (ledgerPtr) {
-        cpuidSlot = ledgerPtr->slot(
-            ownerVm, vcpuId, sim::CostKind::Exit,
-            static_cast<std::uint32_t>(ExitReason::Cpuid));
-    }
+    ledgerSlots.clear();
+    // The CPUID row exists (zeroed) from installation on, so reports
+    // list it whether or not the guest ever executes CPUID.
+    if (ledgerPtr)
+        ledgerSlot(sim::CostKind::Exit,
+                   static_cast<std::uint32_t>(ExitReason::Cpuid));
 }
 
-void
-Vcpu::chargeHypercall(std::uint64_t nr, SimNs ns)
+sim::LedgerSlot
+Vcpu::ledgerSlot(sim::CostKind kind, std::uint32_t code)
 {
-    auto [it, inserted] = hypercallSlots.try_emplace(nr, 0);
-    if (inserted) {
-        it->second = ledgerPtr->slot(
-            ownerVm, vcpuId, sim::CostKind::Hypercall,
-            static_cast<std::uint32_t>(nr));
-    }
-    ledgerPtr->charge(it->second, ns);
+    const std::uint64_t key =
+        std::uint64_t{static_cast<std::uint8_t>(kind)} << 32 | code;
+    auto [it, fresh] = ledgerSlots.try_emplace(key, 0);
+    if (fresh)
+        it->second = ledgerPtr->slot(ownerVm, vcpuId, kind, code);
+    return it->second;
 }
 
-void
-Vcpu::chargeCpuid(SimNs ns)
+/**
+ * The one instrumentation stream of a VMCALL. The frame opens the
+ * `vmcall` span at instruction start; on the way out, returning or
+ * unwinding (an injected KillVm), it closes the span and charges the
+ * {Hypercall, nr} row with exit + dispatch, plus vmentry only once the
+ * instruction re-enters (the VM runner bills a faulting exit itself).
+ * The span minus the dispatch span nested in it is therefore exactly
+ * the row's charge. With neither instrument installed the frame costs
+ * pointer tests and no clock read.
+ */
+class Vcpu::VmcallFrame
 {
-    ledgerPtr->charge(cpuidSlot, ns);
-}
+  public:
+    VmcallFrame(Vcpu &vcpu, std::uint64_t nr)
+        : cpu(vcpu), tr(vcpu.tracerPtr), hcNr(nr)
+    {
+        if (tr) [[unlikely]]
+            tr->begin(sim::SpanCat::Cpu, cpu.vmcallName, cpu.vcpuId,
+                      cpu.simClock.now(), hcNr);
+    }
+
+    VmcallFrame(const VmcallFrame &) = delete;
+    VmcallFrame &operator=(const VmcallFrame &) = delete;
+
+    /** The instruction re-entered the guest with @p rax. */
+    void
+    reentered(std::uint64_t rax)
+    {
+        entered = true;
+        rc = rax;
+    }
+
+    ~VmcallFrame()
+    {
+        if (tr || cpu.ledgerPtr) [[unlikely]]
+            close();
+    }
+
+  private:
+    [[gnu::noinline]] void
+    close()
+    {
+        if (tr)
+            tr->end(sim::SpanCat::Cpu, cpu.vmcallName, cpu.vcpuId,
+                    cpu.simClock.now(), rc);
+        if (cpu.ledgerPtr) {
+            const sim::CostModel &c = cpu.cost;
+            cpu.ledgerPtr->charge(
+                cpu.ledgerSlot(sim::CostKind::Hypercall,
+                               static_cast<std::uint32_t>(hcNr)),
+                c.vmexitNs + c.hypercallDispatchNs +
+                    (entered ? c.vmentryNs : 0));
+        }
+    }
+
+    Vcpu &cpu;
+    sim::Tracer *const tr;
+    const std::uint64_t hcNr;
+    std::uint64_t rc = 0;
+    bool entered = false;
+};
 
 void
 Vcpu::activateEptp(EptpIndex index)
@@ -111,35 +166,13 @@ std::uint64_t
 Vcpu::vmcall(const HypercallArgs &args)
 {
     statSet.inc(hotIds.vmcall);
-    simClock.advance(cost.vmexitNs);
-    simClock.advance(cost.hypercallDispatchNs);
-    // Frame the exit/entry round trip; the hypervisor nests its own
-    // dispatch span (with the hypercall's name) inside this one. The
-    // RAII span closes the frame even when the handler throws a
-    // VmExitEvent (e.g. an injected KillVm fault).
-    sim::ScopedSpan span(tracerPtr, sim::SpanCat::Cpu, vmcallName,
-                         vcpuId, simClock, args.nr);
-    // Ledger double-entry, exception-safe: the exit+dispatch ns above
-    // are charged even when the handler throws (the VM runner then
-    // charges the faulting exit separately), the vmentry ns only when
-    // the instruction actually re-enters. Local class so the unwind
-    // path needs no try/catch in this hot function.
-    struct LedgerGuard
-    {
-        Vcpu &vcpu;
-        const std::uint64_t nr;
-        SimNs ns;
-        ~LedgerGuard()
-        {
-            if (vcpu.ledgerPtr) [[unlikely]]
-                vcpu.chargeHypercall(nr, ns);
-        }
-    } guard{*this, args.nr,
-            cost.vmexitNs + cost.hypercallDispatchNs};
+    // The hypervisor nests its dispatch span (named after the call)
+    // inside this frame.
+    VmcallFrame frame(*this, args.nr);
+    simClock.advance(cost.vmexitNs + cost.hypercallDispatchNs);
     const std::uint64_t rax = hypercallSink->handleHypercall(*this, args);
     simClock.advance(cost.vmentryNs);
-    guard.ns += cost.vmentryNs;
-    span.setEndArgs(rax);
+    frame.reentered(rax);
     return rax;
 }
 
@@ -149,7 +182,10 @@ Vcpu::cpuid(std::uint64_t leaf)
     statSet.inc(hotIds.cpuid);
     simClock.advance(cost.cpuidRttNs());
     if (ledgerPtr) [[unlikely]]
-        chargeCpuid(cost.cpuidRttNs());
+        ledgerPtr->charge(
+            ledgerSlot(sim::CostKind::Exit,
+                       static_cast<std::uint32_t>(ExitReason::Cpuid)),
+            cost.cpuidRttNs());
     // Canned vendor response; the value is irrelevant to the model.
     return 0x656c6973ull ^ leaf;
 }

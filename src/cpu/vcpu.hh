@@ -215,12 +215,20 @@ class Vcpu
      * hypervisor, one pointer test per charge point when absent).
      * World-switch ns charged here: VMCALL round trips keyed by
      * hypercall number, CPUID forced exits; faulting exits are charged
-     * by the VM runner that catches them.
+     * by the VM runner that catches them, page service by the pager.
      */
     void setLedger(sim::ExitLedger *ledger);
 
     /** The installed ledger, or nullptr (instrumented callers). */
     sim::ExitLedger *ledger() const { return ledgerPtr; }
+
+    /**
+     * This vCPU's row of the installed ledger for (@p kind, @p code),
+     * resolved once per ledger installation and cached (requires an
+     * installed ledger). Every site that bills this vCPU resolves its
+     * rows here.
+     */
+    sim::LedgerSlot ledgerSlot(sim::CostKind kind, std::uint32_t code);
 
     /**
      * Install (or with nullptr remove) the machine's EPT-fault
@@ -234,14 +242,10 @@ class Vcpu
     /** The installed fault resolver, or nullptr. */
     EptFaultSink *faultSink() const { return faultSinkPtr; }
 
-    /**
-     * Charge @p ns to this vcpu's {Hypercall, @p nr} ledger row
-     * (requires an installed ledger). Out of line: per-nr slot lookup
-     * stays off the no-ledger hot path.
-     */
-    [[gnu::noinline]] void chargeHypercall(std::uint64_t nr, SimNs ns);
-
   private:
+    /** The RAII instrumentation frame of one vmcall() (vcpu.cc). */
+    class VmcallFrame;
+
     /**
      * Out-of-line vmfunc trace emission: keeps the ring push out of
      * the vmfunc hot path, which runs 4x per gate call and must stay
@@ -249,9 +253,6 @@ class Vcpu
      */
     [[gnu::noinline]] void traceVmfunc(std::uint64_t leaf,
                                        EptpIndex index);
-
-    /** Out-of-line CPUID exit charge (same rationale). */
-    [[gnu::noinline]] void chargeCpuid(SimNs ns);
 
     VcpuId vcpuId;
     VmId ownerVm;
@@ -278,9 +279,8 @@ class Vcpu
 
     /** Machine exit ledger (nullptr = accounting off). */
     sim::ExitLedger *ledgerPtr = nullptr;
-    // Ledger slots, resolved once per (ledger, code) at first charge.
-    sim::LedgerSlot cpuidSlot = 0;
-    std::map<std::uint64_t, sim::LedgerSlot> hypercallSlots;
+    /** (kind << 32 | code) -> row of ledgerPtr; cleared by setLedger. */
+    std::map<std::uint64_t, sim::LedgerSlot> ledgerSlots;
 };
 
 } // namespace elisa::cpu

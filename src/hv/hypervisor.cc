@@ -118,13 +118,6 @@ Hypervisor::setTracer(sim::Tracer *tracer)
 {
     tracerPtr = tracer;
     hcNameIds.clear();
-    if (tracerPtr) {
-        faultDropName = tracerPtr->intern("fault_drop");
-        faultErrorName = tracerPtr->intern("fault_error");
-        faultDelayName = tracerPtr->intern("fault_delay");
-        faultDupName = tracerPtr->intern("fault_duplicate");
-        faultKillName = tracerPtr->intern("fault_kill_vm");
-    }
     for (auto &[id, vm] : vms) {
         for (unsigned i = 0; i < vm->vcpuCount(); ++i)
             vm->vcpu(i).setTracer(tracer);
@@ -288,49 +281,26 @@ Hypervisor::handleHypercall(cpu::Vcpu &vcpu,
           case sim::FaultAction::Drop:
             // The request never reaches a handler; the caller sees
             // the same error a lost message would produce.
-            statSet.inc(faultInjectedId);
-            statSet.inc(faultDroppedId);
-            if (tracerPtr) {
-                tracerPtr->instant(sim::SpanCat::Fault, faultDropName,
-                                   vcpu.id(), vcpu.clock().now(),
-                                   args.nr);
-            }
+            noteFault(vcpu, faultDroppedId, faultDropName, args.nr);
             span.setEndArgs(hcError, 1);
             return hcError;
           case sim::FaultAction::Error:
             // The handler fails outright.
-            statSet.inc(faultInjectedId);
-            statSet.inc(faultErrorsId);
-            if (tracerPtr) {
-                tracerPtr->instant(sim::SpanCat::Fault, faultErrorName,
-                                   vcpu.id(), vcpu.clock().now(),
-                                   args.nr);
-            }
+            noteFault(vcpu, faultErrorsId, faultErrorName, args.nr);
             span.setEndArgs(hcError, 1);
             return hcError;
           case sim::FaultAction::Delay:
             // Host-side stall (contention, scheduling) before the
             // handler runs; charged to the caller.
-            statSet.inc(faultInjectedId);
-            statSet.inc(faultDelayedId);
             vcpu.clock().advance(fault.param);
-            if (tracerPtr) {
-                tracerPtr->instant(sim::SpanCat::Fault, faultDelayName,
-                                   vcpu.id(), vcpu.clock().now(),
-                                   args.nr, fault.param);
-            }
+            noteFault(vcpu, faultDelayedId, faultDelayName, args.nr,
+                      fault.param);
             break;
           case sim::FaultAction::Duplicate: {
             // The message is replayed: the handler runs twice and the
             // caller observes the *second* outcome — exactly the case
             // idempotent Detach/Revoke must survive.
-            statSet.inc(faultInjectedId);
-            statSet.inc(faultDuplicatedId);
-            if (tracerPtr) {
-                tracerPtr->instant(sim::SpanCat::Fault, faultDupName,
-                                   vcpu.id(), vcpu.clock().now(),
-                                   args.nr);
-            }
+            noteFault(vcpu, faultDuplicatedId, faultDupName, args.nr);
             auto dup = hypercalls.find(args.nr);
             if (dup == hypercalls.end()) {
                 statSet.inc(hypercallUnknownId);
@@ -342,33 +312,12 @@ Hypervisor::handleHypercall(cpu::Vcpu &vcpu,
             span.setEndArgs(rc, 1);
             return rc;
           }
-          case sim::FaultAction::KillVm: {
-            statSet.inc(faultInjectedId);
-            statSet.inc(faultVmKillsId);
-            const VmId victim = static_cast<VmId>(fault.param);
-            if (tracerPtr) {
-                tracerPtr->instant(sim::SpanCat::Fault, faultKillName,
-                                   vcpu.id(), vcpu.clock().now(),
-                                   args.nr, victim);
-            }
-            if (recorderPtr)
-                recorderPtr->noteKill(victim, "fault_kill@hypercall");
-            if (victim == vcpu.vm()) {
-                // The caller dies mid-hypercall. Its frames (this
-                // dispatch, the vmcall below it) still reference the
-                // vCPU, so defer the actual teardown and unwind with
-                // the exit the hardware would deliver.
-                doomedVms.push_back(victim);
-                throw cpu::VmExitEvent(cpu::ExitReason::VmKilled,
-                                       victim);
-            }
-            // A third party (e.g. the manager serving this caller)
-            // dies right now; the handler then runs against a world
-            // where the peer is gone.
-            if (vms.contains(victim))
-                destroyVm(victim);
+          case sim::FaultAction::KillVm:
+            // A killed third party (e.g. the manager serving this
+            // caller) is gone before the handler runs.
+            killVm(vcpu, static_cast<VmId>(fault.param), args.nr,
+                   "fault_kill@hypercall");
             break;
-          }
           default:
             // Site-specific actions (GateStale, Shm*) are no-ops at
             // the dispatcher.
@@ -385,6 +334,39 @@ Hypervisor::handleHypercall(cpu::Vcpu &vcpu,
     const std::uint64_t rc = it->second(vcpu, args);
     span.setEndArgs(rc);
     return rc;
+}
+
+void
+Hypervisor::noteFault(cpu::Vcpu &vcpu, sim::StatId action,
+                      sim::TraceNameCache &name, std::uint64_t a0,
+                      std::uint64_t a1)
+{
+    statSet.inc(faultInjectedId);
+    statSet.inc(action);
+    if (tracerPtr) {
+        tracerPtr->instant(sim::SpanCat::Fault, name.get(*tracerPtr),
+                           vcpu.id(), vcpu.clock().now(), a0, a1);
+    }
+}
+
+void
+Hypervisor::killVm(cpu::Vcpu &vcpu, VmId victim, std::uint64_t a0,
+                   const char *site)
+{
+    noteFault(vcpu, faultVmKillsId, faultKillName, a0, victim);
+    if (recorderPtr)
+        recorderPtr->noteKill(victim, site);
+    if (victim == vcpu.vm()) {
+        // The caller dies mid-hypercall or mid-page-in. Its frames
+        // (the dispatch or faulting access, the vmcall or gate call
+        // below it) still reference the vCPU, so defer the actual
+        // teardown and unwind with the exit the hardware would
+        // deliver.
+        doomedVms.push_back(victim);
+        throw cpu::VmExitEvent(cpu::ExitReason::VmKilled, victim);
+    }
+    if (vms.contains(victim))
+        destroyVm(victim);
 }
 
 std::optional<EptpIndex>

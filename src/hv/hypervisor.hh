@@ -298,6 +298,24 @@ class Hypervisor : public cpu::HypercallSink, public cpu::EptFaultSink
     /** Install the Nop/GetVmId/Chan* base handlers. */
     void registerBaseHypercalls();
 
+    /**
+     * Book one injected fault hit by @p vcpu: count it under
+     * fault_injected and @p action, and annotate the vCPU's track with
+     * a Fault instant @p name carrying (@p a0, @p a1).
+     */
+    void noteFault(cpu::Vcpu &vcpu, sim::StatId action,
+                   sim::TraceNameCache &name, std::uint64_t a0,
+                   std::uint64_t a1 = 0);
+
+    /**
+     * Carry out an injected KillVm of @p victim that @p vcpu hit at
+     * @p site (annotated with @p a0). A caller killing its own VM has
+     * live frames on the stack: its teardown is deferred and the
+     * VmKilled exit thrown. A third party dies at once.
+     */
+    void killVm(cpu::Vcpu &vcpu, VmId victim, std::uint64_t a0,
+                const char *site);
+
     sim::CostModel costModel;
     mem::HostMemory physMem;
     mem::FrameAllocator frames;
@@ -347,12 +365,12 @@ class Hypervisor : public cpu::HypercallSink, public cpu::EptFaultSink
     std::map<std::uint64_t, std::string> hcNames;
     /** Per-tracer cache of interned hypercall span names. */
     std::map<std::uint64_t, sim::TraceNameId> hcNameIds;
-    // Interned fault-annotation names, resolved at setTracer().
-    sim::TraceNameId faultDropName = 0;
-    sim::TraceNameId faultErrorName = 0;
-    sim::TraceNameId faultDelayName = 0;
-    sim::TraceNameId faultDupName = 0;
-    sim::TraceNameId faultKillName = 0;
+    // Fault-annotation names (noteFault).
+    sim::TraceNameCache faultDropName{"fault_drop"};
+    sim::TraceNameCache faultErrorName{"fault_error"};
+    sim::TraceNameCache faultDelayName{"fault_delay"};
+    sim::TraceNameCache faultDupName{"fault_duplicate"};
+    sim::TraceNameCache faultKillName{"fault_kill_vm"};
 
     /** VMs killed mid-own-hypercall, awaiting a safe teardown point. */
     std::vector<VmId> doomedVms;

@@ -33,22 +33,6 @@ Pager::Pager(Hypervisor &hypervisor, const PagingConfig &config)
 }
 
 void
-Pager::refreshTraceNames()
-{
-    if (hv.tracerPtr == namesFor)
-        return;
-    namesFor = hv.tracerPtr;
-    if (!namesFor)
-        return;
-    pageInName = namesFor->intern("page_in");
-    zeroFillName = namesFor->intern("zero_fill");
-    pageOutName = namesFor->intern("page_out");
-    pageErrorName = namesFor->intern("fault_page_in_error");
-    pageDelayName = namesFor->intern("fault_page_in_delay");
-    pageKillName = namesFor->intern("fault_kill_vm");
-}
-
-void
 Pager::manageRange(VmId owner, ept::Ept &ept, Gpa gpa, Hpa hpa,
                    std::uint64_t len, bool demand_zero)
 {
@@ -414,60 +398,75 @@ Pager::pageInHook(cpu::Vcpu &vcpu, Gpa gpa)
         hv.reapKilledVms(vcpu.vm());
 
     const sim::FaultDecision fault = plan->onPageIn(vcpu.vm());
-    if (fault.action == sim::FaultAction::None)
-        return SimNs{0};
-    refreshTraceNames();
     switch (fault.action) {
       case sim::FaultAction::Error:
         // The swap device fails the read; the page stays out and the
         // guest sees the EPT-violation exit. Nothing is lost — a later
         // touch pages in normally.
-        hv.statSet.inc(hv.faultInjectedId);
-        hv.statSet.inc(hv.faultErrorsId);
         hv.statSet.inc(pageInErrorsId);
-        if (hv.tracerPtr) {
-            hv.tracerPtr->instant(sim::SpanCat::Fault, pageErrorName,
-                                  vcpu.id(), vcpu.clock().now(), gpa);
-        }
+        hv.noteFault(vcpu, hv.faultErrorsId, pageErrorName, gpa);
         return std::nullopt;
       case sim::FaultAction::Delay:
         // Swap-device contention: the page-in takes longer.
-        hv.statSet.inc(hv.faultInjectedId);
-        hv.statSet.inc(hv.faultDelayedId);
         hv.statSet.inc(pageInDelaysId);
-        if (hv.tracerPtr) {
-            hv.tracerPtr->instant(sim::SpanCat::Fault, pageDelayName,
-                                  vcpu.id(), vcpu.clock().now(), gpa,
-                                  fault.param);
-        }
+        hv.noteFault(vcpu, hv.faultDelayedId, pageDelayName, gpa,
+                     fault.param);
         return static_cast<SimNs>(fault.param);
-      case sim::FaultAction::KillVm: {
-        hv.statSet.inc(hv.faultInjectedId);
-        hv.statSet.inc(hv.faultVmKillsId);
+      case sim::FaultAction::KillVm:
         hv.statSet.inc(pageInKillsId);
-        const VmId victim = static_cast<VmId>(fault.param);
-        if (hv.tracerPtr) {
-            hv.tracerPtr->instant(sim::SpanCat::Fault, pageKillName,
-                                  vcpu.id(), vcpu.clock().now(), gpa,
-                                  victim);
-        }
-        if (hv.recorderPtr)
-            hv.recorderPtr->noteKill(victim, "fault_kill@page_in");
-        if (victim == vcpu.vm()) {
-            // The faulting VM dies mid-page-in: its frames (the
-            // faulting access, the gate call above it) still reference
-            // the vCPU, so defer teardown and unwind with the exit the
-            // hardware would deliver.
-            hv.doomedVms.push_back(victim);
-            throw cpu::VmExitEvent(cpu::ExitReason::VmKilled, victim);
-        }
-        if (hv.vms.contains(victim))
-            hv.destroyVm(victim);
+        hv.killVm(vcpu, static_cast<VmId>(fault.param), gpa,
+                  "fault_kill@page_in");
         return SimNs{0};
-      }
       default:
         return SimNs{0};
     }
+}
+
+bool
+Pager::servePageIn(cpu::Vcpu &vcpu, Hpa hpa, SimNs delay,
+                   std::uint64_t addr, bool exited)
+{
+    const std::optional<ServiceResult> service = bringIn(hpa, delay);
+    if (!service)
+        return false;
+    const sim::CostModel &cost = hv.costModel;
+    sim::SimClock &clk = vcpu.clock();
+    const SimNs t0 = clk.now();
+    const SimNs switch_ns = exited ? cost.vmexitNs + cost.vmentryNs : 0;
+    if (exited)
+        hv.statSet.inc(hv.exitStatId(cpu::ExitReason::EptViolation));
+    clk.advance(switch_ns + SimNs{service->evicted} * cost.swapOutNs +
+                service->pageNs);
+
+    if (sim::ExitLedger *led = vcpu.ledger()) {
+        if (exited) {
+            led->charge(vcpu.ledgerSlot(sim::CostKind::Exit,
+                                        static_cast<std::uint32_t>(
+                                            cpu::ExitReason::EptViolation)),
+                        switch_ns);
+        }
+        if (service->evicted > 0) {
+            led->chargeN(vcpu.ledgerSlot(sim::CostKind::Page,
+                                         static_cast<std::uint32_t>(
+                                             sim::PageCost::PageOut)),
+                         cost.swapOutNs, service->evicted);
+        }
+        led->charge(vcpu.ledgerSlot(sim::CostKind::Page,
+                                    static_cast<std::uint32_t>(
+                                        service->zeroFill
+                                            ? sim::PageCost::ZeroFill
+                                            : sim::PageCost::PageIn)),
+                    service->pageNs);
+    }
+    if (sim::Tracer *tr = hv.tracerPtr) {
+        const sim::TraceNameId name =
+            (service->zeroFill ? zeroFillName : pageInName).get(*tr);
+        tr->begin(sim::SpanCat::Page, name, vcpu.id(), t0, addr,
+                  service->evicted);
+        tr->end(sim::SpanCat::Page, name, vcpu.id(), clk.now(), addr,
+                service->evicted);
+    }
+    return true;
 }
 
 bool
@@ -502,54 +501,11 @@ Pager::resolve(cpu::Vcpu &vcpu, const ept::EptViolation &violation)
         return true;
     }
 
-    const SimNs t0 = vcpu.clock().now();
-    auto service = bringIn(*frame_hpa, *delay);
-    if (!service)
-        return false; // budget unreachable / swap full: surface it
-
-    // Charge the full round trip to the *faulting* guest: the exit,
-    // the handler + device work (plus any evictions it forced), the
-    // re-entry. The ledger rows partition the same nanoseconds.
-    const sim::CostModel &cost = hv.costModel;
-    sim::SimClock &clk = vcpu.clock();
-    const SimNs evict_ns = SimNs{service->evicted} * cost.swapOutNs;
-    clk.advance(cost.vmexitNs);
-    hv.statSet.inc(hv.exitStatId(cpu::ExitReason::EptViolation));
-    clk.advance(evict_ns + service->pageNs);
-    clk.advance(cost.vmentryNs);
-
-    if (sim::ExitLedger *led = vcpu.ledger()) {
-        const auto vm = static_cast<std::uint32_t>(vcpu.vm());
-        const auto vc = static_cast<std::uint32_t>(vcpu.id());
-        led->charge(
-            led->slot(vm, vc, sim::CostKind::Exit,
-                      static_cast<std::uint32_t>(
-                          cpu::ExitReason::EptViolation)),
-            cost.vmexitNs + cost.vmentryNs);
-        if (service->evicted > 0) {
-            led->chargeN(
-                led->slot(vm, vc, sim::CostKind::Page,
-                          static_cast<std::uint32_t>(
-                              sim::PageCost::PageOut)),
-                cost.swapOutNs, service->evicted);
-        }
-        led->charge(
-            led->slot(vm, vc, sim::CostKind::Page,
-                      static_cast<std::uint32_t>(
-                          service->zeroFill ? sim::PageCost::ZeroFill
-                                            : sim::PageCost::PageIn)),
-            service->pageNs);
-    }
-    if (hv.tracerPtr) {
-        refreshTraceNames();
-        const sim::TraceNameId name =
-            service->zeroFill ? zeroFillName : pageInName;
-        hv.tracerPtr->begin(sim::SpanCat::Page, name, vcpu.id(), t0,
-                            violation.gpa, service->evicted);
-        hv.tracerPtr->end(sim::SpanCat::Page, name, vcpu.id(),
-                          clk.now(), violation.gpa, service->evicted);
-    }
-    return true;
+    // The full round trip goes to the *faulting* guest: the exit, the
+    // handler + device work (plus any evictions it forced), the
+    // re-entry. A failed page-in (budget unreachable, swap full)
+    // surfaces as the exit.
+    return servePageIn(vcpu, *frame_hpa, *delay, violation.gpa, true);
 }
 
 bool
@@ -569,53 +525,12 @@ Pager::hostTouch(cpu::Vcpu &billed, Hpa hpa, std::uint64_t len)
                 return false;
             // The kill may have dropped this very frame.
             auto again = framesByHpa.find(page);
+            // Host-side service: no exit happens (the caller already
+            // paid for its own VMCALL).
             if (again != framesByHpa.end() &&
-                again->second.state != FrameState::Resident) {
-                const SimNs t0 = billed.clock().now();
-                auto service = bringIn(page, *delay);
-                if (!service)
-                    return false;
-                // Host-side service: no exit happened (the caller
-                // already paid for its own VMCALL), so only the
-                // handler + device work is charged.
-                const sim::CostModel &cost = hv.costModel;
-                const SimNs evict_ns =
-                    SimNs{service->evicted} * cost.swapOutNs;
-                billed.clock().advance(evict_ns + service->pageNs);
-                if (sim::ExitLedger *led = billed.ledger()) {
-                    const auto vm =
-                        static_cast<std::uint32_t>(billed.vm());
-                    const auto vc =
-                        static_cast<std::uint32_t>(billed.id());
-                    if (service->evicted > 0) {
-                        led->chargeN(
-                            led->slot(vm, vc, sim::CostKind::Page,
-                                      static_cast<std::uint32_t>(
-                                          sim::PageCost::PageOut)),
-                            cost.swapOutNs, service->evicted);
-                    }
-                    led->charge(
-                        led->slot(vm, vc, sim::CostKind::Page,
-                                  static_cast<std::uint32_t>(
-                                      service->zeroFill
-                                          ? sim::PageCost::ZeroFill
-                                          : sim::PageCost::PageIn)),
-                        service->pageNs);
-                }
-                if (hv.tracerPtr) {
-                    refreshTraceNames();
-                    const sim::TraceNameId name = service->zeroFill
-                                                      ? zeroFillName
-                                                      : pageInName;
-                    hv.tracerPtr->begin(sim::SpanCat::Page, name,
-                                        billed.id(), t0, page,
-                                        service->evicted);
-                    hv.tracerPtr->end(sim::SpanCat::Page, name,
-                                      billed.id(),
-                                      billed.clock().now(), page,
-                                      service->evicted);
-                }
-            }
+                again->second.state != FrameState::Resident &&
+                !servePageIn(billed, page, *delay, page, false))
+                return false;
         }
         if (page == last)
             break;

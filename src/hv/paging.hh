@@ -292,8 +292,18 @@ class Pager
      */
     std::optional<SimNs> pageInHook(cpu::Vcpu &vcpu, Gpa gpa);
 
-    /** Re-intern trace names when the installed tracer changes. */
-    void refreshTraceNames();
+    /**
+     * Page in the managed frame at @p hpa for @p vcpu (bringIn) and
+     * bill it: the one page-service bill. Advances the vCPU clock,
+     * charges its ledger rows and emits one Page span annotated with
+     * @p addr. With @p exited (the EPT-violation path) the exit and
+     * re-entry are part of the bill: counted, charged to the
+     * Exit/EptViolation row and inside the span. Evictions go to the
+     * PageOut row, the fault service to PageIn or ZeroFill.
+     * @return false, billing nothing, when bringIn fails.
+     */
+    bool servePageIn(cpu::Vcpu &vcpu, Hpa hpa, SimNs delay,
+                     std::uint64_t addr, bool exited);
 
     Hypervisor &hv;
     mem::BackingStore backing;
@@ -317,14 +327,11 @@ class Pager
     sim::StatId pageInDelaysId;
     sim::StatId pageInKillsId;
 
-    // Trace names, re-interned when the hypervisor's tracer changes.
-    sim::Tracer *namesFor = nullptr;
-    sim::TraceNameId pageInName = 0;
-    sim::TraceNameId zeroFillName = 0;
-    sim::TraceNameId pageOutName = 0;
-    sim::TraceNameId pageErrorName = 0;
-    sim::TraceNameId pageDelayName = 0;
-    sim::TraceNameId pageKillName = 0;
+    // Page-span and fault-annotation names.
+    sim::TraceNameCache pageInName{"page_in"};
+    sim::TraceNameCache zeroFillName{"zero_fill"};
+    sim::TraceNameCache pageErrorName{"fault_page_in_error"};
+    sim::TraceNameCache pageDelayName{"fault_page_in_delay"};
 };
 
 } // namespace elisa::hv

@@ -109,11 +109,9 @@ Vm::run(unsigned vcpu_index, const std::function<void()> &guest_code)
         cpu.activateEptp(0);
         cpu.clock().advance(hyper.costModel.vmentryNs);
         if (sim::ExitLedger *led = cpu.ledger()) {
-            // Cold path (faulting exits only): resolving the slot per
-            // catch is fine, and keeps this file free of caches.
             led->charge(
-                led->slot(vmId, cpu.id(), sim::CostKind::Exit,
-                          static_cast<std::uint32_t>(exit.reason())),
+                cpu.ledgerSlot(sim::CostKind::Exit,
+                               static_cast<std::uint32_t>(exit.reason())),
                 hyper.costModel.vmexitNs + hyper.costModel.vmentryNs);
         }
 

@@ -27,7 +27,7 @@ costKindToString(CostKind kind)
 
 ExitLedger::ExitLedger()
 {
-    // Serial 0 is reserved as LedgerSlotCache's "no owner yet".
+    // Serial 0 is reserved as a slot cache's "no owner yet".
     static std::uint64_t nextSerial = 0;
     serialNum = ++nextSerial;
 }

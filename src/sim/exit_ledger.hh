@@ -14,9 +14,10 @@
  * Cost discipline (mirrors sim::Tracer / sim::FaultPlan): subsystems
  * hold a nullable ExitLedger pointer; an absent ledger costs one
  * pointer test per charge point. Slot resolution is the only
- * map-keyed operation and is cached per site, guarded by serial()
- * exactly like TraceNameCache, so the enabled hot path is two array
- * additions.
+ * map-keyed operation and is cached by the billed vCPU
+ * (cpu::Vcpu::ledgerSlot, reset per ledger installation) or the gate
+ * (guarded by serial(), like TraceNameCache), so the enabled hot path
+ * is two array additions.
  *
  * Layering: like Tracer, this file knows nothing about vCPUs or the
  * hypervisor — callers pass plain ids; pretty names for codes are
@@ -74,8 +75,8 @@ class ExitLedger
 
     /**
      * Resolve (or create) the row for (@p vm, @p vcpu, @p kind,
-     * @p code). Map-keyed — cache the result per site
-     * (LedgerSlotCache) instead of calling per event.
+     * @p code). Map-keyed — cache the result (cpu::Vcpu::ledgerSlot)
+     * instead of calling per event.
      */
     LedgerSlot slot(std::uint32_t vm, std::uint32_t vcpu, CostKind kind,
                     std::uint32_t code);
@@ -178,31 +179,6 @@ class ExitLedger
     std::map<std::uint64_t, LedgerSlot> index;
     std::vector<Row> rowTable;
     std::map<std::uint64_t, std::string> codeNames;
-};
-
-/**
- * Per-site cache of one resolved slot for a fixed (vm, vcpu, kind,
- * code) tuple, guarded by the ledger's serial. Sites whose code varies
- * per event (hypercall numbers) keep a small map beside the serial
- * guard instead.
- */
-class LedgerSlotCache
-{
-  public:
-    LedgerSlot
-    get(ExitLedger &ledger, std::uint32_t vm, std::uint32_t vcpu,
-        CostKind kind, std::uint32_t code)
-    {
-        if (owner != ledger.serial()) {
-            id = ledger.slot(vm, vcpu, kind, code);
-            owner = ledger.serial();
-        }
-        return id;
-    }
-
-  private:
-    std::uint64_t owner = 0; ///< serial() of the resolving ledger
-    LedgerSlot id = 0;
 };
 
 } // namespace elisa::sim

@@ -11,27 +11,6 @@ namespace elisa::sim
 namespace
 {
 
-/** Chrome-phase letter (matches Tracer::chromeJson). */
-char
-phaseLetter(TracePhase phase)
-{
-    switch (phase) {
-      case TracePhase::Begin:
-        return 'B';
-      case TracePhase::End:
-        return 'E';
-      case TracePhase::Instant:
-        return 'i';
-      case TracePhase::AsyncBegin:
-        return 'b';
-      case TracePhase::AsyncInstant:
-        return 'n';
-      case TracePhase::AsyncEnd:
-        return 'e';
-    }
-    return '?';
-}
-
 /** Minimal JSON string escaping (quotes, backslash, control chars). */
 std::string
 jsonEscape(const std::string &text)
@@ -108,15 +87,15 @@ FlightRecorder::observe(const Tracer &tracer)
     if (emitted == cursor)
         return;
     std::uint64_t fresh = emitted - cursor;
-    const std::vector<TraceEvent> snap = tracer.snapshot();
-    if (fresh > snap.size()) {
+    const std::size_t held = tracer.size();
+    if (fresh > held) {
         // The tracer ring wrapped past our cursor: those events are
         // gone for every VM. Counted, never guessed at.
-        missedEvents += fresh - snap.size();
-        fresh = snap.size();
+        missedEvents += fresh - held;
+        fresh = held;
     }
-    for (std::size_t i = snap.size() - fresh; i < snap.size(); ++i) {
-        const TraceEvent &ev = snap[i];
+    for (std::size_t i = held - fresh; i < held; ++i) {
+        const TraceEvent &ev = tracer.at(i);
         auto it = nameTable.find(ev.name);
         if (it == nameTable.end())
             nameTable.emplace(ev.name, tracer.nameOf(ev.name));

@@ -223,16 +223,16 @@ appendTraceSection(std::vector<std::uint8_t> &out, const Tracer &tracer,
     putU32(out, 0);
     const std::size_t body_at = out.size();
 
-    const std::vector<TraceEvent> all = tracer.snapshot();
-    const std::size_t keep = std::min(tail_events, all.size());
-    const std::size_t first = all.size() - keep;
+    const std::size_t held = tracer.size();
+    const std::size_t keep = std::min(tail_events, held);
+    const std::size_t first = held - keep;
 
     // Compact local name table: ids in first-appearance order within
     // the tail (deterministic for a given event sequence).
     std::map<TraceNameId, std::uint16_t> local;
     std::vector<TraceNameId> order;
-    for (std::size_t i = first; i < all.size(); ++i) {
-        const TraceNameId id = all[i].name;
+    for (std::size_t i = first; i < held; ++i) {
+        const TraceNameId id = tracer.at(i).name;
         if (local.emplace(id, static_cast<std::uint16_t>(order.size()))
                 .second)
             order.push_back(id);
@@ -244,8 +244,8 @@ appendTraceSection(std::vector<std::uint8_t> &out, const Tracer &tracer,
     for (const TraceNameId id : order)
         putString(out, tracer.nameOf(id));
     putU32(out, static_cast<std::uint32_t>(keep));
-    for (std::size_t i = first; i < all.size(); ++i) {
-        const TraceEvent &ev = all[i];
+    for (std::size_t i = first; i < held; ++i) {
+        const TraceEvent &ev = tracer.at(i);
         putU64(out, ev.ts);
         putU64(out, ev.arg0);
         putU64(out, ev.arg1);

@@ -74,10 +74,8 @@ Tracer::snapshot() const
 {
     std::vector<TraceEvent> out;
     out.reserve(held);
-    // Oldest event: `head` when the ring has wrapped, slot 0 otherwise.
-    const std::size_t start = held == ring.size() ? head : 0;
     for (std::size_t i = 0; i < held; ++i)
-        out.push_back(ring[(start + i) % ring.size()]);
+        out.push_back(at(i));
     return out;
 }
 
@@ -89,10 +87,6 @@ Tracer::clear()
     total = 0;
 }
 
-namespace
-{
-
-/** Chrome "ph" letter for an event phase. */
 char
 phaseLetter(TracePhase phase)
 {
@@ -113,6 +107,9 @@ phaseLetter(TracePhase phase)
     return '?';
 }
 
+namespace
+{
+
 bool
 isAsync(TracePhase phase)
 {
@@ -128,11 +125,10 @@ Tracer::chromeJson() const
 {
     // All formatting is integer math: same events => same bytes.
     std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-    bool first = true;
-    for (const TraceEvent &ev : snapshot()) {
-        if (!first)
+    for (std::size_t i = 0; i < held; ++i) {
+        const TraceEvent &ev = at(i);
+        if (i)
             out += ',';
-        first = false;
         // Chrome timestamps are microseconds; keep the nanosecond
         // fraction as three fixed decimals.
         out += detail::format(
@@ -168,7 +164,8 @@ Tracer::latencyReport() const
     std::map<std::pair<std::uint64_t, TraceNameId>, SimNs> openAsync;
     std::uint64_t unmatched = 0;
 
-    for (const TraceEvent &ev : snapshot()) {
+    for (std::size_t i = 0; i < held; ++i) {
+        const TraceEvent &ev = at(i);
         const auto key = std::make_pair(
             static_cast<unsigned>(ev.cat), ev.name);
         switch (ev.phase) {

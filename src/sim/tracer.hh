@@ -80,6 +80,9 @@ enum class TracePhase : std::uint8_t
     AsyncEnd,     ///< async span closes ("e")
 };
 
+/** Chrome trace_event "ph" letter of @p phase (every exporter). */
+char phaseLetter(TracePhase phase);
+
 /** One recorded event (40 bytes; the ring stores these by value). */
 struct TraceEvent
 {
@@ -183,7 +186,22 @@ class Tracer
      */
     std::uint64_t serial() const { return serialNum; }
 
-    /** The held events, oldest first (tests / exporters). */
+    /**
+     * The @p i-th held event, oldest first (@p i < size()), read in
+     * place: consumers index the window they need instead of copying
+     * the ring out.
+     */
+    const TraceEvent &
+    at(std::size_t i) const
+    {
+        // Oldest event: `head` once the ring has wrapped, slot 0 before.
+        std::size_t slot = (held == ring.size() ? head : 0) + i;
+        if (slot >= ring.size())
+            slot -= ring.size();
+        return ring[slot];
+    }
+
+    /** A copy of the held events, oldest first (tests). */
     std::vector<TraceEvent> snapshot() const;
 
     /** Forget all events (interned names are kept). */

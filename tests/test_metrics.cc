@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "base/units.hh"
+#include "cpu/guest_view.hh"
 #include "elisa/gate.hh"
 #include "elisa/guest_api.hh"
 #include "elisa/manager.hh"
@@ -285,20 +286,42 @@ TEST(ExitLedger, ClearKeepsRowsAndNames)
     EXPECT_EQ(led.codeName(CostKind::Hypercall, 0), "hc_nop");
 }
 
-TEST(ExitLedger, SlotCacheReResolvesAcrossLedgers)
+TEST(ExitLedger, VcpuSlotsReResolveAcrossLedgers)
 {
+    // Every site billing a vCPU resolves its rows through the vCPU's
+    // slot cache. Installing another ledger must re-resolve them:
+    // after setLedger(&second), vmcall, cpuid, faulting-exit and
+    // page-in charges land only in `second`.
+    hv::Hypervisor hv(64 * MiB);
+    hv::Pager &pager = hv.enablePaging();
+    hv::Vm &vm = hv.createVm("g", 2 * MiB);
+    pager.manageVmRam(vm, true);
+    cpu::Vcpu &cpu = vm.vcpu(0);
+    cpu::GuestView view(cpu);
+    Gpa fresh = 0;
+    auto exercise = [&] {
+        cpu.vmcall(cpu::HypercallArgs{}); // Nop
+        cpu.cpuid(0);
+        EXPECT_FALSE(vm.run(0, [&] { cpu.vmfunc(1, 0); }).ok);
+        view.read<std::uint64_t>(fresh); // demand-zero page-in
+        fresh += pageSize;
+    };
+
     ExitLedger first, second;
-    LedgerSlotCache cache;
-    const LedgerSlot a = cache.get(first, 1, 2, CostKind::Exit, 0);
-    first.charge(a, 10);
-    // A different ledger instance (different serial): the cache must
-    // re-resolve instead of reusing the stale slot.
-    const LedgerSlot b = cache.get(second, 1, 2, CostKind::Exit, 0);
-    second.charge(b, 20);
-    EXPECT_EQ(first.totalNs(), 10u);
-    EXPECT_EQ(second.totalNs(), 20u);
-    // Same ledger again: cached (and still correct).
-    EXPECT_EQ(cache.get(second, 1, 2, CostKind::Exit, 0), b);
+    hv.setLedger(&first);
+    exercise();
+    const SimNs first_ns = first.totalNs();
+    const std::uint64_t first_events = first.totalEvents();
+    EXPECT_EQ(first_events, 5u); // hc, cpuid, vmfunc exit, EPT exit, page
+
+    hv.setLedger(&second);
+    exercise();
+    EXPECT_EQ(first.totalNs(), first_ns);
+    EXPECT_EQ(first.totalEvents(), first_events);
+    EXPECT_EQ(second.totalEvents(), first_events);
+    for (CostKind kind :
+         {CostKind::Exit, CostKind::Hypercall, CostKind::Page})
+        EXPECT_EQ(second.kindNs(kind), first.kindNs(kind));
 }
 
 // ===================================================================

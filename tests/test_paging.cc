@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "base/units.hh"
 #include "cpu/guest_view.hh"
 #include "elisa/gate.hh"
@@ -17,6 +21,7 @@
 #include "hv/paging.hh"
 #include "sim/exit_ledger.hh"
 #include "sim/fault.hh"
+#include "sim/tracer.hh"
 
 namespace
 {
@@ -159,6 +164,39 @@ TEST_F(PagingTest, L0MicroCacheStaleAcrossReclaimRefaults)
     EXPECT_EQ(hv.stats().get("pager_faults"), faults + 1);
     EXPECT_EQ(pager.frameState(vm.ramGpaToHpa(pageSize)),
               hv::Pager::FrameState::Swapped);
+}
+
+TEST_F(PagingTest, SuccessorTracerAtTheSameAddressGetsFreshNames)
+{
+    // Page-span names are cached per tracer instance, not per address:
+    // a successor built where the old tracer lived interns its own ids.
+    hv::Pager &pager = hv.enablePaging({1, 64});
+    hv::Vm &vm = hv.createVm("g", 2 * MiB);
+    pager.manageVmRam(vm, true);
+    cpu::GuestView view(vm.vcpu(0));
+
+    std::optional<sim::Tracer> tracer;
+    tracer.emplace();
+    hv.setTracer(&*tracer);
+    view.write<std::uint64_t>(0, 1);        // zero_fill, names cached
+    view.write<std::uint64_t>(pageSize, 2); // evicts page 0
+    hv.setTracer(nullptr);
+
+    const sim::Tracer *first = &*tracer;
+    tracer.emplace();
+    ASSERT_EQ(&*tracer, first);
+    for (unsigned i = 0; i < 16; ++i) // shift every id
+        tracer->intern("other_" + std::to_string(i));
+    hv.setTracer(&*tracer);
+    EXPECT_EQ(view.read<std::uint64_t>(0), 1u); // page-in
+
+    std::vector<std::string> pages;
+    for (const sim::TraceEvent &ev : tracer->snapshot()) {
+        if (ev.cat == sim::SpanCat::Page)
+            pages.push_back(tracer->nameOf(ev.name));
+    }
+    EXPECT_EQ(pages, (std::vector<std::string>{"page_in", "page_in"}));
+    hv.setTracer(nullptr);
 }
 
 TEST_F(PagingTest, ResidentLimitHoldsUnderThrash)

@@ -3,7 +3,9 @@
  * Tests for the sim::Tracer subsystem and its wiring through the
  * stack: ring-buffer mechanics, span nesting under simulated time,
  * the gate-call decomposition and its agreement with the exit
- * ledger's GateLeg rows, fault-annotated hypercall spans, the
+ * ledger's GateLeg rows, the vmcall frame and page-service spans
+ * agreeing with their Hypercall, Exit and Page rows,
+ * fault-annotated hypercall spans, the
  * negotiation async lifecycle, both exporters (Chrome JSON and the
  * latency report), byte-determinism, and the disabled-tracer
  * overhead budget — plus the Gate RAII / AttachResult contracts the
@@ -15,9 +17,11 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "base/units.hh"
+#include "cpu/guest_view.hh"
 #include "elisa/gate.hh"
 #include "elisa/guest_api.hh"
 #include "elisa/manager.hh"
@@ -328,11 +332,13 @@ TEST_F(TraceTest, HypercallSpansCarryNameAndRc)
     EXPECT_EQ(nops[1].phase, TracePhase::End);
     EXPECT_EQ(nops[1].arg0, 0u); // rc
 
-    // The framing vmcall span wraps the dispatch span.
+    // The framing vmcall span opens at instruction start, the exit
+    // and dispatch before the dispatch span, and closes after entry.
     const auto frames = eventsNamed(SpanCat::Cpu, "vmcall");
     ASSERT_EQ(frames.size(), 2u);
-    EXPECT_LE(frames[0].ts, nops[0].ts);
-    EXPECT_GE(frames[1].ts, nops[1].ts);
+    EXPECT_EQ(nops[0].ts - frames[0].ts,
+              hv.cost().vmexitNs + hv.cost().hypercallDispatchNs);
+    EXPECT_EQ(frames[1].ts - nops[1].ts, hv.cost().vmentryNs);
 }
 
 TEST_F(TraceTest, InjectedFaultAnnotatesTheHypercallSpan)
@@ -426,17 +432,24 @@ struct Instrumented
 
     cpu::Vcpu &vcpu() { return guestVm.vcpu(0); }
 
+    /** ns of the guest vCPU's (@p kind, @p code) row (0 when absent). */
+    SimNs
+    rowNs(sim::CostKind kind, std::uint32_t code) const
+    {
+        for (const sim::ExitLedger::Row &row : ledger.rows()) {
+            if (row.kind == kind && row.vm == guestVm.id() &&
+                row.code == code)
+                return row.ns;
+        }
+        return 0;
+    }
+
     /** ns of the guest vCPU's GateLeg row @p leg (0 when absent). */
     SimNs
     legNs(GateLeg leg) const
     {
-        for (const sim::ExitLedger::Row &row : ledger.rows()) {
-            if (row.kind == sim::CostKind::GateLeg &&
-                row.vm == guestVm.id() &&
-                row.code == static_cast<std::uint32_t>(leg))
-                return row.ns;
-        }
-        return 0;
+        return rowNs(sim::CostKind::GateLeg,
+                     static_cast<std::uint32_t>(leg));
     }
 
     /** Events charged to GateLeg rows. */
@@ -460,16 +473,15 @@ struct Instrumented
     };
 
     /**
-     * The gate-category spans in close order. Fails the test when an
-     * End does not match the innermost open Begin or a span is left
-     * open.
+     * The @p cat spans in close order. Fails the test when an End does
+     * not match the innermost open Begin or a span is left open.
      */
     std::vector<Span>
-    gateSpans()
+    spans(SpanCat cat)
     {
         std::vector<Span> open, closed;
         for (const TraceEvent &ev : tracer.snapshot()) {
-            if (ev.cat != SpanCat::Gate)
+            if (ev.cat != cat || ev.phase == TracePhase::Instant)
                 continue;
             if (ev.phase == TracePhase::Begin) {
                 open.push_back({tracer.nameOf(ev.name), ev.ts});
@@ -491,6 +503,8 @@ struct Instrumented
         EXPECT_TRUE(open.empty()) << open.size() << " spans left open";
         return closed;
     }
+
+    std::vector<Span> gateSpans() { return spans(SpanCat::Gate); }
 
     sim::Tracer tracer;
     sim::ExitLedger ledger;
@@ -669,6 +683,171 @@ TEST(InstrumentsAgree, BadFnInABatchChargesOnlyTheEntryLegs)
     ASSERT_EQ(outer.size(), 1u);
     EXPECT_EQ(outer[0].endArg0, 0u);
     EXPECT_EQ(outer[0].endArg1, 0u);
+}
+
+// The vmcall frame: the `vmcall` span minus the dispatch span nested
+// in it is exactly what the {Hypercall, nr} row charges, on a plain
+// call, under an injected delay (inside the dispatch span) and when a
+// self-KillVm unwinds the frame before re-entry.
+
+/** The vmcall and hc_nop spans of one Nop VMCALL match its row. */
+void
+expectVmcallFrameMatchesRow(Instrumented &m, SimNs row_ns)
+{
+    const auto frames = m.spans(SpanCat::Cpu);
+    const auto dispatches = m.spans(SpanCat::Hypercall);
+    ASSERT_EQ(frames.size(), 1u);
+    ASSERT_EQ(dispatches.size(), 1u);
+    EXPECT_EQ(frames[0].name, "vmcall");
+    EXPECT_EQ(dispatches[0].name, "hc_nop");
+    const SimNs charged = m.rowNs(sim::CostKind::Hypercall,
+                                  static_cast<std::uint32_t>(hv::Hc::Nop));
+    EXPECT_EQ(charged, row_ns);
+    EXPECT_EQ(frames[0].ns - dispatches[0].ns, charged);
+}
+
+TEST(InstrumentsAgree, VmcallFrameMinusDispatchIsTheHypercallRow)
+{
+    Instrumented m;
+    EXPECT_EQ(m.vcpu().vmcall(cpu::HypercallArgs{}), 0u); // Nop
+    expectVmcallFrameMatchesRow(m, m.hv.cost().vmcallRttNs());
+}
+
+TEST(InstrumentsAgree, InjectedDelayStaysInsideTheDispatchSpan)
+{
+    Instrumented m;
+    sim::FaultPlan plan(3);
+    sim::FaultRule rule;
+    rule.site = static_cast<std::uint64_t>(sim::FaultSite::Hypercall);
+    rule.hcNr = static_cast<std::uint64_t>(hv::Hc::Nop);
+    rule.action = sim::FaultAction::Delay;
+    rule.param = 5000;
+    plan.addRule(rule);
+    m.hv.setFaultPlan(&plan);
+    m.vcpu().vmcall(cpu::HypercallArgs{});
+    m.hv.setFaultPlan(nullptr);
+    expectVmcallFrameMatchesRow(m, m.hv.cost().vmcallRttNs());
+    EXPECT_EQ(m.spans(SpanCat::Hypercall).at(0).ns, 5000u);
+}
+
+TEST(InstrumentsAgree, SelfKillUnwindsTheFrameWithoutEntry)
+{
+    Instrumented m;
+    sim::FaultPlan plan(3);
+    sim::FaultRule rule;
+    rule.site = static_cast<std::uint64_t>(sim::FaultSite::Hypercall);
+    rule.hcNr = static_cast<std::uint64_t>(hv::Hc::Nop);
+    rule.action = sim::FaultAction::KillVm;
+    rule.param = m.guestVm.id();
+    plan.addRule(rule);
+    m.hv.setFaultPlan(&plan);
+    const auto result = m.guestVm.run(
+        0, [&] { m.vcpu().vmcall(cpu::HypercallArgs{}); });
+    m.hv.setFaultPlan(nullptr);
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.exit.reason, cpu::ExitReason::VmKilled);
+    const auto &cost = m.hv.cost();
+    expectVmcallFrameMatchesRow(m,
+                                cost.vmexitNs + cost.hypercallDispatchNs);
+    // The VM runner bills the killing exit on its own row.
+    EXPECT_EQ(m.rowNs(sim::CostKind::Exit, static_cast<std::uint32_t>(
+                                               cpu::ExitReason::VmKilled)),
+              cost.vmexitNs + cost.vmentryNs);
+}
+
+/**
+ * The page-service bill: one page-in's Page span lasts exactly what
+ * that call charged to the Exit and Page rows.
+ */
+struct PagedInstrumented
+{
+    PagedInstrumented() : hv(64 * MiB)
+    {
+        hv.setTracer(&tracer);
+        hv.setLedger(&ledger);
+        pager = &hv.enablePaging({1, 64}); // one resident frame
+        vm = &hv.createVm("g", 2 * MiB);
+        pager->manageVmRam(*vm, true);
+    }
+
+    /** Forget earlier events and charges. */
+    void
+    reset()
+    {
+        tracer.clear();
+        ledger.clear();
+    }
+
+    /** The one Page span since reset(): (name, duration, a1). */
+    std::tuple<std::string, SimNs, std::uint64_t>
+    pageSpan()
+    {
+        const auto events = tracer.snapshot();
+        EXPECT_EQ(events.size(), 2u);
+        if (events.size() != 2)
+            return {"", 0, 0};
+        EXPECT_EQ(events[0].cat, SpanCat::Page);
+        EXPECT_EQ(events[0].phase, TracePhase::Begin);
+        EXPECT_EQ(events[1].phase, TracePhase::End);
+        return {tracer.nameOf(events[0].name),
+                events[1].ts - events[0].ts, events[1].arg1};
+    }
+
+    SimNs
+    billedNs() const
+    {
+        return ledger.kindNs(sim::CostKind::Exit) +
+               ledger.kindNs(sim::CostKind::Page);
+    }
+
+    sim::Tracer tracer;
+    sim::ExitLedger ledger;
+    hv::Hypervisor hv;
+    hv::Pager *pager;
+    hv::Vm *vm;
+};
+
+TEST(InstrumentsAgree, ZeroFillSpanIsTheExitAndPageRows)
+{
+    PagedInstrumented m;
+    cpu::GuestView view(m.vm->vcpu(0));
+    m.reset();
+    view.write<std::uint64_t>(0, 1);
+    const auto [name, ns, evicted] = m.pageSpan();
+    EXPECT_EQ(name, "zero_fill");
+    EXPECT_EQ(evicted, 0u);
+    EXPECT_GT(m.ledger.kindNs(sim::CostKind::Exit), 0u);
+    EXPECT_EQ(ns, m.billedNs());
+}
+
+TEST(InstrumentsAgree, EvictingPageInSpanIsTheExitAndPageRows)
+{
+    PagedInstrumented m;
+    cpu::GuestView view(m.vm->vcpu(0));
+    view.write<std::uint64_t>(0, 1);
+    view.write<std::uint64_t>(pageSize, 2); // evicts page 0
+    m.reset();
+    EXPECT_EQ(view.read<std::uint64_t>(0), 1u); // swaps page 1 out
+    const auto [name, ns, evicted] = m.pageSpan();
+    EXPECT_EQ(name, "page_in");
+    EXPECT_EQ(evicted, 1u);
+    EXPECT_EQ(ns, m.billedNs());
+}
+
+TEST(InstrumentsAgree, HostTouchSpanIsThePageRows)
+{
+    PagedInstrumented m;
+    cpu::GuestView view(m.vm->vcpu(0));
+    view.write<std::uint64_t>(0, 1);
+    view.write<std::uint64_t>(pageSize, 2); // evicts page 0
+    m.reset();
+    EXPECT_TRUE(m.pager->hostTouch(m.vm->vcpu(0), m.vm->ramGpaToHpa(0),
+                                   8));
+    const auto [name, ns, evicted] = m.pageSpan();
+    EXPECT_EQ(name, "page_in");
+    EXPECT_EQ(evicted, 1u);
+    EXPECT_EQ(m.ledger.kindNs(sim::CostKind::Exit), 0u); // no exit
+    EXPECT_EQ(ns, m.billedNs());
 }
 
 // ===================================================================
