@@ -67,58 +67,22 @@ staleEntry(cpu::Vcpu &cpu, EptpIndex index)
 } // anonymous namespace
 
 /**
- * The one instrumentation stream of a round trip. Every point goes
- * through at(): with neither a tracer nor a ledger installed that is
- * one never-taken branch and no clock read; otherwise one clock read
- * ends and begins the point's trace spans and observes the leg it
- * completes, so the spans and the GateLeg rows cannot disagree. A
- * faulting leg is never charged (the VM runner bills the exit), and
- * the spans a fault leaves open close at its time on the unwind.
+ * The one instrumentation stream of a round trip, run only when a
+ * tracer or a ledger is installed (Gate::roundTrip chooses). At every
+ * point one clock read ends and begins the point's trace spans and
+ * observes the leg it completes, so the spans and the GateLeg rows
+ * cannot disagree. A faulting leg is never charged (the VM runner
+ * bills the exit), and the spans a fault leaves open close at its
+ * time on the unwind.
  */
 class Gate::Probe
 {
   public:
     /** Opens the outer span (@p name, @p arg). */
     Probe(Gate &g, sim::TraceNameCache &name, std::uint64_t arg)
-        : gate(g), on(g.cpuPtr->tracer() || g.cpuPtr->ledger())
-    {
-        if (on) [[unlikely]]
-            start(name, arg);
-    }
-
-    /** Pass @p p; @p arg annotates the innermost span it opens. */
-    void
-    at(const GatePoint &p, std::uint64_t arg = 0)
-    {
-        if (on) [[unlikely]]
-            emit(p, arg);
-    }
-
-    /** A completed round trip: the outer span closes with (a0, a1). */
-    void
-    finish(std::uint64_t a0, std::uint64_t a1)
-    {
-        if (on) [[unlikely]]
-            closeAll(a0, a1);
-    }
-
-    /** A faulted one: what the fault left open closes with (0, 0). */
-    ~Probe()
-    {
-        if (on) [[unlikely]]
-            closeAll(0, 0);
-    }
-
-  private:
-    // The members after `on` are set here and read only when `on`:
-    // the uninstrumented path never stores them.
-    [[gnu::noinline]] void
-    start(sim::TraceNameCache &name, std::uint64_t arg)
+        : gate(g), tr(g.cpuPtr->tracer()), led(g.cpuPtr->ledger())
     {
         cpu::Vcpu &cpu = *gate.cpuPtr;
-        tr = cpu.tracer();
-        led = cpu.ledger();
-        depth = 0;
         // Leg slots resolve once per ledger instance (serial-guarded,
         // like TraceNameCache).
         if (led && gate.ledgerSerial != led->serial()) {
@@ -134,10 +98,13 @@ class Gate::Probe
             begin(name, legStart, arg);
     }
 
-    // Inlined into each point, where the point's constexpr spec folds
-    // away: the traced path does only the work that point names.
+    /**
+     * Pass @p p; @p arg annotates the innermost span it opens. Inlined
+     * into each point, where the point's constexpr spec folds away:
+     * the traced path does only the work that point names.
+     */
     [[gnu::always_inline]] void
-    emit(const GatePoint &p, std::uint64_t arg)
+    at(const GatePoint &p, std::uint64_t arg = 0)
     {
         const SimNs now = gate.cpuPtr->clock().now();
         if (tr) {
@@ -154,7 +121,14 @@ class Gate::Probe
         legStart = now;
     }
 
-    [[gnu::noinline]] void
+    /** A completed round trip: the outer span closes with (a0, a1). */
+    void finish(std::uint64_t a0, std::uint64_t a1) { closeAll(a0, a1); }
+
+    /** A faulted one: what the fault left open closes with (0, 0). */
+    ~Probe() { closeAll(0, 0); }
+
+  private:
+    void
     closeAll(std::uint64_t a0, std::uint64_t a1)
     {
         const SimNs now = gate.cpuPtr->clock().now();
@@ -178,13 +152,21 @@ class Gate::Probe
     }
 
     Gate &gate;
-    const bool on;
-    sim::Tracer *tr;
-    sim::ExitLedger *led;
+    sim::Tracer *const tr;
+    sim::ExitLedger *const led;
     SimNs legStart;
     /** Open spans, outermost first: at most outer > return > switch. */
     sim::TraceNameId spans[3];
-    unsigned depth;
+    unsigned depth = 0;
+};
+
+/** The bare round trip: every point compiles to nothing. */
+class Gate::NoProbe
+{
+  public:
+    NoProbe(Gate &, sim::TraceNameCache &, std::uint64_t) {}
+    void at(const GatePoint &, std::uint64_t = 0) {}
+    void finish(std::uint64_t, std::uint64_t) {}
 };
 
 const char *
@@ -335,6 +317,16 @@ Gate::callBatch(std::span<BatchEntry> entries)
 void
 Gate::roundTrip(std::span<BatchEntry> entries, bool batch)
 {
+    if (cpuPtr->tracer() || cpuPtr->ledger()) [[unlikely]]
+        roundTripWith<Probe>(entries, batch);
+    else
+        roundTripWith<NoProbe>(entries, batch);
+}
+
+template <class Instruments>
+void
+Gate::roundTripWith(std::span<BatchEntry> entries, bool batch)
+{
     cpu::Vcpu &cpu = *cpuPtr;
     const sim::CostModel &cost = cpu.costModel();
     const EptpIndex caller_index = cpu.activeIndex();
@@ -344,8 +336,8 @@ Gate::roundTrip(std::span<BatchEntry> entries, bool batch)
     // faulted entry is attributed to this round trip. A completed one
     // stamps (ret, fn + 1) — a batch (n, 1) — on the close; a faulted
     // one leaves (0, 0).
-    Probe probe(*this, batch ? gateBatchName : gateCallName,
-                batch ? entries.size() : first.fn);
+    Instruments probe(*this, batch ? gateBatchName : gateCallName,
+                      batch ? entries.size() : first.fn);
     // A FaultPlan GateStale decision models a revocation racing this
     // call: the gate's EPTP-list entry is already gone, so the entry
     // VMFUNC faults exactly like Vcpu::vmfunc on an invalid index.

@@ -164,14 +164,24 @@ class Gate
   private:
     /** The instrumentation stream of one round trip (gate.cc). */
     class Probe;
+    /** Probe's interface with empty members: the bare round trip. */
+    class NoProbe;
 
     /**
-     * The one round-trip body behind call() and callBatch(): enter,
-     * run every entry under the sub context, leave. call() is the
-     * one-entry case; @p batch only picks the outer span's name and
-     * args and the elisa_batched_fns count.
+     * The round trip behind call() and callBatch(): two pointer tests
+     * choose the instrumented or the bare instantiation of
+     * roundTripWith, once per call.
      */
     void roundTrip(std::span<BatchEntry> entries, bool batch);
+
+    /**
+     * The one round-trip body: enter, run every entry under the sub
+     * context, leave, passing each point through @p Instruments (Probe
+     * or NoProbe). call() is the one-entry case; @p batch only picks
+     * the outer span's name and args and the elisa_batched_fns count.
+     */
+    template <class Instruments>
+    void roundTripWith(std::span<BatchEntry> entries, bool batch);
 
     /** Raise the fetch fault for an out-of-range function id. */
     [[noreturn]] void badFn(unsigned fn) const;

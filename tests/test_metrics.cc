@@ -16,6 +16,7 @@
 
 #include "base/units.hh"
 #include "cpu/guest_view.hh"
+#include "disabled_hooks.hh"
 #include "elisa/gate.hh"
 #include "elisa/guest_api.hh"
 #include "elisa/manager.hh"
@@ -24,6 +25,7 @@
 #include "sim/exit_ledger.hh"
 #include "sim/metrics.hh"
 #include "sim/stats.hh"
+#include "sim/tracer.hh"
 
 namespace
 {
@@ -412,12 +414,88 @@ TEST(EngineSampler, SamplesMetricsConsistently)
 }
 
 // ===================================================================
+// Gate instrument dispatch: a gate call chooses its probed or bare
+// body from the instruments installed at that call, not at attach.
+// ===================================================================
+
+TEST(GateDispatch, InstrumentsAreChosenOnEveryCall)
+{
+    // Declared first: the gate's detach on teardown still reports to
+    // whichever instrument is installed.
+    Tracer tracer;
+    ExitLedger led;
+    hv::Hypervisor hv(64 * MiB);
+    ElisaService svc(hv);
+    hv::Vm &managerVm = hv.createVm("manager", 16 * MiB);
+    hv::Vm &guestVm = hv.createVm("guest", 16 * MiB);
+    ElisaManager manager(managerVm, svc);
+    ElisaGuest guest(guestVm, svc);
+    SharedFnTable fns;
+    fns.push_back([](SubCallCtx &) { return std::uint64_t{42}; });
+    ASSERT_TRUE(manager.exportObject(ExportKey("obj"), 4 * KiB, std::move(fns)));
+    Gate gate = guest.tryAttach(ExportKey("obj"), manager).take();
+
+    auto legRows = [&] {
+        std::vector<const ExitLedger::Row *> rows;
+        for (const ExitLedger::Row &row : led.rows()) {
+            if (row.kind == CostKind::GateLeg)
+                rows.push_back(&row);
+        }
+        return rows;
+    };
+
+    // Nothing installed.
+    EXPECT_EQ(gate.call(0), 42u);
+
+    // Only a ledger: six GateLeg rows, one event each, summing to the
+    // paper's round trip; no trace events.
+    hv.setLedger(&led);
+    EXPECT_EQ(gate.call(0), 42u);
+    ASSERT_EQ(legRows().size(), gateLegCount);
+    SimNs legs = 0;
+    for (const ExitLedger::Row *row : legRows()) {
+        EXPECT_EQ(row->events, 1u);
+        legs += row->ns;
+    }
+    EXPECT_EQ(legs, hv.cost().elisaRttNs());
+    EXPECT_EQ(tracer.size(), 0u);
+
+    // Only a tracer: the gate_call span shape, no ledger rows.
+    hv.setLedger(nullptr);
+    hv.setTracer(&tracer);
+    const std::uint64_t events = led.totalEvents();
+    const SimNs ns = led.totalNs();
+    EXPECT_EQ(gate.call(0), 42u);
+    std::string shape;
+    TraceEvent last;
+    for (const TraceEvent &ev : tracer.snapshot()) {
+        if (ev.cat != SpanCat::Gate)
+            continue;
+        shape += ev.phase == TracePhase::Begin ? " B:" : " E:";
+        shape += tracer.nameOf(ev.name);
+        last = ev;
+    }
+    EXPECT_EQ(shape, " B:gate_call"
+                     " B:eptp_switch E:eptp_switch"
+                     " B:stack_swap E:stack_swap"
+                     " B:eptp_switch E:eptp_switch"
+                     " B:payload E:payload"
+                     " B:return B:eptp_switch E:eptp_switch"
+                     " B:eptp_switch E:eptp_switch E:return"
+                     " E:gate_call");
+    EXPECT_EQ(last.arg0, 42u); // (ret, fn + 1)
+    EXPECT_EQ(last.arg1, 1u);
+    EXPECT_EQ(led.totalEvents(), events);
+    EXPECT_EQ(led.totalNs(), ns);
+}
+
+// ===================================================================
 // The overhead budget: the ledger compiled in but not installed must
 // cost BM_GateCall at most 2%. The gate body feeds the tracer and the
-// ledger from one probe, so a call with neither installed pays the
-// probe's null tests: two pointer tests computing its flag, then 13
-// tests of the flag (constructor, ten leg-sequence points, finish,
-// destructor). Measured in wall-clock time; grep-able line for CI.
+// ledger from one probe, and a call chooses once, by two pointer tests
+// (tracer, ledger), between the probed body and the bare one. A call
+// with neither installed pays those two tests and nothing at the leg
+// points. Measured in wall-clock time; grep-able line for CI.
 // ===================================================================
 
 TEST(MetricsOverhead, DisabledLedgerWithinBudget)
@@ -454,48 +532,11 @@ TEST(MetricsOverhead, DisabledLedgerWithinBudget)
     }
 
     // The disabled hook primitive: one pointer load + never-taken
-    // branch. Measured as the delta between two identical loops, the
-    // hooked one carrying 15 replicas per iteration (the probe's
-    // per-call count, see above). The opaque call keeps the loads
-    // from being hoisted, which overstates the real cost.
-    struct Host
-    {
-        sim::ExitLedger *led = nullptr;
-    } host;
-    auto opaque = [](Host *h) {
-        asm volatile("" : : "r"(h) : "memory");
-    };
-    constexpr std::uint64_t iters = 2000000;
-    constexpr unsigned hooksPerCall = 15;
-    std::uint64_t sink = 0;
-
-    double base_ns = 1e9, hooked_ns = 1e9;
-    for (int r = 0; r < rounds; ++r) {
-        auto t0 = clock::now();
-        for (std::uint64_t i = 0; i < iters; ++i)
-            opaque(&host);
-        const auto base = std::chrono::duration<double, std::nano>(
-                              clock::now() - t0)
-                              .count();
-        base_ns = std::min(base_ns, base / (double)iters);
-
-        t0 = clock::now();
-        for (std::uint64_t i = 0; i < iters; ++i) {
-            opaque(&host);
-            for (unsigned h = 0; h < hooksPerCall; ++h) {
-                if (host.led != nullptr)
-                    ++sink;
-            }
-        }
-        const auto hooked = std::chrono::duration<double, std::nano>(
-                                clock::now() - t0)
-                                .count();
-        hooked_ns = std::min(hooked_ns, hooked / (double)iters);
-    }
-    asm volatile("" : : "r"(sink));
-
+    // branch per replica, measured as the delta between two identical
+    // loops, the hooked one carrying the per-call count (see above).
+    constexpr unsigned hooksPerCall = 2;
     const double hook_cost =
-        hooked_ns > base_ns ? hooked_ns - base_ns : 0.0;
+        test::disabledHooksNs<hooksPerCall>(rounds, 2000000);
     const double overhead_pct = hook_cost / call_ns * 100.0;
 
     // Grep-able by the CI workflow.

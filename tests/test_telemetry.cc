@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "base/units.hh"
+#include "disabled_hooks.hh"
 #include "elisa/gate.hh"
 #include "elisa/guest_api.hh"
 #include "elisa/manager.hh"
@@ -836,47 +837,12 @@ TEST(TelemetryOverhead, DisabledTelemetryWithinBudget)
     }
 
     // The disabled hook primitive — a pointer load plus a never-taken
-    // branch — measured as the delta between two identical opaque
-    // loops. Two replicas bound the telemetry plane's worst case per
-    // event (and the real hooks sit on cold paths, not per call).
-    struct Host
-    {
-        sim::FlightRecorder *rec = nullptr;
-    } host;
-    const auto opaque = [](Host *h) {
-        asm volatile("" : : "r"(h) : "memory");
-    };
-    constexpr std::uint64_t iters = 2000000;
+    // branch — measured as the delta between two identical loops. Two
+    // replicas bound the telemetry plane's worst case per event (and
+    // the real hooks sit on cold paths, not per call).
     constexpr unsigned hooksPerCall = 2;
-    std::uint64_t sink = 0;
-
-    double base_ns = 1e9, hooked_ns = 1e9;
-    for (int r = 0; r < rounds; ++r) {
-        auto t0 = clock::now();
-        for (std::uint64_t i = 0; i < iters; ++i)
-            opaque(&host);
-        const auto base = std::chrono::duration<double, std::nano>(
-                              clock::now() - t0)
-                              .count();
-        base_ns = std::min(base_ns, base / (double)iters);
-
-        t0 = clock::now();
-        for (std::uint64_t i = 0; i < iters; ++i) {
-            opaque(&host);
-            for (unsigned h = 0; h < hooksPerCall; ++h) {
-                if (host.rec != nullptr)
-                    ++sink;
-            }
-        }
-        const auto hooked = std::chrono::duration<double, std::nano>(
-                                clock::now() - t0)
-                                .count();
-        hooked_ns = std::min(hooked_ns, hooked / (double)iters);
-    }
-    asm volatile("" : : "r"(sink));
-
     const double hook_cost =
-        hooked_ns > base_ns ? hooked_ns - base_ns : 0.0;
+        test::disabledHooksNs<hooksPerCall>(rounds, 2000000);
     const double overhead_pct = hook_cost / call_ns * 100.0;
 
     // Grep-able by the CI workflow.

@@ -853,10 +853,9 @@ TEST(InstrumentsAgree, HostTouchSpanIsThePageRows)
 // ===================================================================
 // The overhead budget: tracing compiled in but disabled must cost
 // BM_GateCall at most 2%. The hook is one pointer test. A disabled
-// gate call executes 19 of them: the gate body's probe computes its
-// flag from two pointer tests and tests it 13 times (constructor, ten
-// leg-sequence points, finish, destructor), and Vcpu::vmfunc tests
-// the tracer 4 times. The budget keeps 22 replicas, the count it was set with,
+// gate call executes 6 of them: 2 choosing the gate's bare body over
+// the probed one, and 4 in Vcpu::vmfunc, which tests the tracer once
+// per switch. The budget keeps 22 replicas, the count it was set with,
 // so it can only tighten. We measure both sides in wall-clock time
 // and print a grep-able line for CI.
 // ===================================================================
