@@ -219,19 +219,6 @@ BM_StatIncInterned(benchmark::State &state)
 }
 BENCHMARK(BM_StatIncInterned);
 
-/** String-keyed counter increment (the legacy slow path, for scale). */
-void
-BM_StatIncString(benchmark::State &state)
-{
-    sim::StatSet stats;
-    stats.id("bench_counter");
-    for (auto _ : state) {
-        stats.inc("bench_counter");
-        benchmark::ClobberMemory();
-    }
-}
-BENCHMARK(BM_StatIncString);
-
 // ---- hundreds-of-VMs scale scenario --------------------------------
 
 /**

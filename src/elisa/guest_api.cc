@@ -59,6 +59,7 @@ ElisaGuest::ElisaGuest(hv::Vm &vm, ElisaService &service,
     fatal_if(!scratch, "guest VM '%s' out of RAM for scratch page",
              vm.name().c_str());
     scratchGpa = *scratch;
+    attachRetriesId = vcpu().stats().quietId("elisa_attach_retries");
 }
 
 cpu::Vcpu &
@@ -199,7 +200,7 @@ ElisaGuest::attachWithRetry(const ExportKey &key,
                 backoff *= 2;
             if (pump)
                 pump();
-            vcpu().stats().inc("elisa_attach_retries");
+            vcpu().stats().inc(attachRetriesId);
             if (sim::Tracer *tr = vcpu().tracer()) {
                 // Link the retry into the request's async span when
                 // one is in flight; otherwise a plain instant.

@@ -206,6 +206,8 @@ class ElisaGuest
     ElisaService &svc;
     unsigned vcpuIndex;
     Gpa scratchGpa = 0;
+    /** "elisa_attach_retries" on the vCPU's StatSet (quietId). */
+    sim::StatId attachRetriesId = 0;
     // Whether the last requestAttach was refused with hcBusy (full
     // manager queue) rather than an outright error; tryAttach and
     // attachWithRetry map the nullopt to the right AttachStatus.

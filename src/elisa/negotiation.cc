@@ -55,6 +55,12 @@ ElisaService::ElisaService(hv::Hypervisor &hv) : hyper(hv)
     grantTeardownsId = hv.stats().id("elisa_grant_teardowns");
     widenRefusedId = hv.stats().id("elisa_cap_widen_refused");
     grantExhaustedId = hv.stats().id("elisa_grant_exhausted");
+    attachmentsId = hv.stats().quietId("elisa_attachments");
+    vmTeardownsId = hv.stats().quietId("elisa_vm_teardowns");
+    revokesId = hv.stats().quietId("elisa_revokes");
+    managersId = hv.stats().quietId("elisa_managers");
+    exportsId = hv.stats().quietId("elisa_exports");
+    detachesId = hv.stats().quietId("elisa_detaches");
     registerHandlers();
     hv.addVmDestroyHook([this](VmId vm) { onVmDestroyed(vm); });
 }
@@ -250,7 +256,7 @@ ElisaService::onVmDestroyed(VmId vm)
         else
             ++it;
     }
-    hyper.stats().inc("elisa_vm_teardowns");
+    hyper.stats().inc(vmTeardownsId);
 }
 
 ElisaService::~ElisaService()
@@ -308,7 +314,7 @@ ElisaService::revokeExport(const std::string &name)
     }
     retireExport(exp->id(), exp->managerVm());
     exports.erase(exp->id());
-    hyper.stats().inc("elisa_revokes");
+    hyper.stats().inc(revokesId);
     return true;
 }
 
@@ -426,7 +432,7 @@ std::uint64_t
 ElisaService::hcRegisterManager(cpu::Vcpu &vcpu)
 {
     managers.try_emplace(vcpu.vm());
-    hyper.stats().inc("elisa_managers");
+    hyper.stats().inc(managersId);
     return 0;
 }
 
@@ -472,7 +478,7 @@ ElisaService::hcExport(cpu::Vcpu &vcpu, const cpu::HypercallArgs &args)
                                                       : perms,
                             std::move(staged->second)));
     stagedFns.erase(staged);
-    hyper.stats().inc("elisa_exports");
+    hyper.stats().inc(exportsId);
     return id;
 }
 
@@ -571,6 +577,7 @@ ElisaService::hcApprove(cpu::Vcpu &vcpu, const cpu::HypercallArgs &args)
     auto attach = std::make_unique<Attachment>(hyper, aid, *exp, guest,
                                                req.vcpuIndex, slot,
                                                granted);
+    hyper.stats().inc(attachmentsId);
 
     // Charge the manager for the context construction it instructed:
     // two EPT hierarchies plus one PTE write per mapped page.
@@ -754,7 +761,7 @@ ElisaService::hcDetach(cpu::Vcpu &vcpu, const cpu::HypercallArgs &args)
     panic_if(grant == invalidCapId, "attachment %u without a grant",
              aid);
     teardownGrant(grant, CapTeardown::Detach, &vcpu);
-    hyper.stats().inc("elisa_detaches");
+    hyper.stats().inc(detachesId);
     return 0;
 }
 
@@ -926,6 +933,7 @@ ElisaService::hcRedeem(cpu::Vcpu &vcpu, const cpu::HypercallArgs &args)
     auto attach = std::make_unique<Attachment>(
         hyper, aid, exp, guest, vcpu_index, slot, g.perms, g.offset,
         g.bytes);
+    hyper.stats().inc(attachmentsId);
     attach->bindGrant(g.id, g.expiresNs);
 
     // The redeemer pays for the context construction it asked for —

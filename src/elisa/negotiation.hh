@@ -329,6 +329,13 @@ class ElisaService
     sim::StatId grantTeardownsId = 0;
     sim::StatId widenRefusedId = 0;
     sim::StatId grantExhaustedId = 0;
+    // Lifecycle counters, listed from their first event (quietId).
+    sim::StatId attachmentsId = 0;
+    sim::StatId vmTeardownsId = 0;
+    sim::StatId revokesId = 0;
+    sim::StatId managersId = 0;
+    sim::StatId exportsId = 0;
+    sim::StatId detachesId = 0;
 
     ExportId nextExportId = 1;
     RequestId nextRequestId = 1;

@@ -143,7 +143,6 @@ Attachment::Attachment(hv::Hypervisor &hv, AttachmentId id, Export &exp_,
     attachInfo.perms = static_cast<std::uint32_t>(granted);
 
     exp.addAttachment();
-    hv.stats().inc("elisa_attachments");
 }
 
 Attachment::~Attachment()

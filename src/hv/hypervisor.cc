@@ -24,6 +24,11 @@ Hypervisor::Hypervisor(std::uint64_t phys_mem_bytes,
     faultDuplicatedId = statSet.id("fault_duplicated");
     faultErrorsId = statSet.id("fault_errors");
     faultVmKillsId = statSet.id("fault_vm_kills");
+    vmCreatedId = statSet.quietId("vm_created");
+    vmDestroyedId = statSet.quietId("vm_destroyed");
+    pagingEnabledId = statSet.quietId("paging_enabled");
+    eptpInstalledId = statSet.quietId("eptp_installed");
+    eptpRemovedId = statSet.quietId("eptp_removed");
     for (unsigned r = 0; r < cpu::exitReasonCount; ++r) {
         exitIds[r] = statSet.id(
             std::string("exit_") +
@@ -48,7 +53,7 @@ Hypervisor::createVm(const std::string &name, std::uint64_t ram_bytes,
     for (unsigned i = 0; i < ref.vcpuCount(); ++i)
         vcpuOwner[ref.vcpu(i).id()] = id;
     vms.emplace(id, std::move(vm));
-    statSet.inc("vm_created");
+    statSet.inc(vmCreatedId);
     return ref;
 }
 
@@ -96,7 +101,7 @@ Hypervisor::destroyVm(VmId id)
     }
     vms.erase(it);
     frames.dropOwner(id);
-    statSet.inc("vm_destroyed");
+    statSet.inc(vmDestroyedId);
 }
 
 void
@@ -222,7 +227,7 @@ Hypervisor::enablePaging(const PagingConfig &config)
     panic_if(pagerPtr != nullptr, "paging already enabled");
     pagerPtr = std::make_unique<Pager>(*this, config);
     addVmDestroyHook([this](VmId id) { pagerPtr->onVmDestroy(id); });
-    statSet.inc("paging_enabled");
+    statSet.inc(pagingEnabledId);
     return *pagerPtr;
 }
 
@@ -376,7 +381,7 @@ Hypervisor::installEptp(cpu::Vcpu &vcpu, std::uint64_t eptp)
     if (!index)
         return std::nullopt;
     vcpu.eptpList().set(*index, eptp);
-    statSet.inc("eptp_installed");
+    statSet.inc(eptpInstalledId);
     return index;
 }
 
@@ -389,7 +394,7 @@ Hypervisor::removeEptp(cpu::Vcpu &vcpu, EptpIndex index)
         return;
     vcpu.eptpList().clear(index);
     vcpu.tlb().flushEptp(*eptp);
-    statSet.inc("eptp_removed");
+    statSet.inc(eptpRemovedId);
 }
 
 void

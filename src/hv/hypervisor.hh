@@ -387,6 +387,12 @@ class Hypervisor : public cpu::HypercallSink, public cpu::EptFaultSink
     sim::StatId faultDuplicatedId = 0;
     sim::StatId faultErrorsId = 0;
     sim::StatId faultVmKillsId = 0;
+    // Lifecycle counters, listed from their first event (quietId).
+    sim::StatId vmCreatedId = 0;
+    sim::StatId vmDestroyedId = 0;
+    sim::StatId pagingEnabledId = 0;
+    sim::StatId eptpInstalledId = 0;
+    sim::StatId eptpRemovedId = 0;
     sim::StatId exitIds[cpu::exitReasonCount] = {};
 
     friend class Vm;    // Vm construction pulls frames/vcpu ids.

@@ -17,6 +17,7 @@ IvshmemRegion::IvshmemRegion(Hypervisor &hv, std::string name,
              regionName.c_str());
     hpaBase = *base;
     hv.memory().zero(hpaBase, bytes);
+    attachId = hv.stats().quietId("ivshmem_attach");
 }
 
 IvshmemRegion::~IvshmemRegion()
@@ -38,7 +39,7 @@ IvshmemRegion::attach(Vm &vm, Gpa gpa, ept::Perms perms)
     if (Pager *pager = hyper.pager())
         pager->addMirror(vm.defaultEpt(), gpa, hpaBase, bytes);
     ++attachments;
-    hyper.stats().inc("ivshmem_attach");
+    hyper.stats().inc(attachId);
     return true;
 }
 

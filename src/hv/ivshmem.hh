@@ -72,6 +72,7 @@ class IvshmemRegion
     Hpa hpaBase = 0;
     std::uint64_t bytes;
     unsigned attachments = 0;
+    sim::StatId attachId = 0;
 };
 
 } // namespace elisa::hv

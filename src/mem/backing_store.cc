@@ -9,7 +9,7 @@ namespace elisa::mem
 
 BackingStore::BackingStore(std::uint64_t slot_count)
     : totalSlots(slot_count), used(slot_count, false),
-      data(slot_count * pageSize, 0)
+      data(slot_count * pageSize)
 {
     fatal_if(slot_count == 0, "empty backing store");
 }
@@ -42,7 +42,7 @@ BackingStore::free(std::uint64_t slot)
     used[slot] = false;
     --allocatedSlots;
     // Scrub so a buggy read of a freed slot cannot leak stale bytes.
-    std::memset(data.data() + slot * pageSize, 0, pageSize);
+    data.zero(slot * pageSize, pageSize);
 }
 
 void

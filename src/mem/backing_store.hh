@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "base/types.hh"
+#include "mem/anon_region.hh"
 
 namespace elisa::mem
 {
@@ -29,7 +30,10 @@ namespace elisa::mem
 class BackingStore
 {
   public:
-    /** Create a device of @p slot_count page slots (zero-filled). */
+    /**
+     * Create a device of @p slot_count page slots. The slots read zero
+     * and are committed on first write (AnonRegion).
+     */
     explicit BackingStore(std::uint64_t slot_count);
 
     BackingStore(const BackingStore &) = delete;
@@ -70,7 +74,7 @@ class BackingStore
     std::uint64_t allocatedSlots = 0;
     std::uint64_t searchHint = 0;
     std::vector<bool> used;
-    std::vector<std::uint8_t> data;
+    AnonRegion data;
 };
 
 } // namespace elisa::mem

@@ -3,11 +3,10 @@
 namespace elisa::mem
 {
 
-HostMemory::HostMemory(std::uint64_t bytes)
+HostMemory::HostMemory(std::uint64_t bytes) : region(bytes)
 {
     fatal_if(bytes == 0 || !isPageAligned(bytes),
              "physical memory size must be a non-zero multiple of 4 KiB");
-    data.assign(bytes, 0);
 }
 
 } // namespace elisa::mem

@@ -3,10 +3,12 @@
  * Simulated host physical memory.
  *
  * The machine's physical address space is one contiguous range starting
- * at HPA 0, backed by a host allocation. Raw access is reserved to
- * "hardware" and hypervisor code (EPT walker, NIC DMA, host-interposition
- * handlers); guest software must go through cpu::GuestView, which applies
- * the EPT translation and permission checks.
+ * at HPA 0, backed by a lazily committed AnonRegion: a frame costs host
+ * memory only once something touches it, and reads zero until then. Raw
+ * access is reserved to "hardware" and hypervisor code (EPT walker, NIC
+ * DMA, host-interposition handlers); guest software must go through
+ * cpu::GuestView, which applies the EPT translation and permission
+ * checks.
  */
 
 #ifndef ELISA_MEM_HOST_MEMORY_HH
@@ -14,10 +16,10 @@
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "base/logging.hh"
 #include "base/types.hh"
+#include "mem/anon_region.hh"
 
 namespace elisa::mem
 {
@@ -35,7 +37,7 @@ class HostMemory
     HostMemory &operator=(const HostMemory &) = delete;
 
     /** Total size in bytes. */
-    std::uint64_t size() const { return data.size(); }
+    std::uint64_t size() const { return region.size(); }
 
     /** Total size in frames. */
     std::uint64_t frameCount() const { return size() / pageSize; }
@@ -58,7 +60,7 @@ class HostMemory
         panic_if(!contains(hpa, len),
                  "HPA range [%llx, +%llx) outside physical memory",
                  (unsigned long long)hpa, (unsigned long long)len);
-        return data.data() + hpa;
+        return region.data() + hpa;
     }
 
     /** Const overload of raw(). */
@@ -68,7 +70,7 @@ class HostMemory
         panic_if(!contains(hpa, len),
                  "HPA range [%llx, +%llx) outside physical memory",
                  (unsigned long long)hpa, (unsigned long long)len);
-        return data.data() + hpa;
+        return region.data() + hpa;
     }
 
     /** Read a little-endian 64-bit word at @p hpa. */
@@ -101,15 +103,20 @@ class HostMemory
         std::memcpy(raw(hpa, len), src, len);
     }
 
-    /** Zero-fill a physical range. */
+    /**
+     * Zero-fill a physical range. Ranges of 2 MiB and more (VM RAM,
+     * ivshmem regions, telemetry sinks) hand their pages back to the
+     * host instead of writing them; pages and stacks are memset.
+     */
     void
     zero(Hpa hpa, std::uint64_t len)
     {
-        std::memset(raw(hpa, len), 0, len);
+        raw(hpa, len); // the bounds panic
+        region.zero(hpa, len);
     }
 
   private:
-    std::vector<std::uint8_t> data;
+    AnonRegion region;
 };
 
 } // namespace elisa::mem

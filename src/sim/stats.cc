@@ -59,12 +59,21 @@ RunningStats::merge(const RunningStats &other)
 StatId
 StatSet::id(const std::string &name)
 {
+    const StatId sid = quietId(name);
+    quiet[sid] = false;
+    return sid;
+}
+
+StatId
+StatSet::quietId(const std::string &name)
+{
     auto it = index.find(name);
     if (it != index.end())
         return it->second;
     const StatId sid = static_cast<StatId>(values.size());
     index.emplace(name, sid);
     values.push_back(0);
+    quiet.push_back(true);
     return sid;
 }
 
@@ -78,8 +87,12 @@ StatSet::get(const std::string &name) const
 void
 StatSet::clear()
 {
-    for (auto &v : values)
-        v = 0;
+    for (StatId sid = 0; sid < values.size(); ++sid) {
+        // A counter that has counted stays listed, as with id().
+        if (values[sid] != 0)
+            quiet[sid] = false;
+        values[sid] = 0;
+    }
 }
 
 std::map<std::string, std::uint64_t>
@@ -87,7 +100,8 @@ StatSet::all() const
 {
     std::map<std::string, std::uint64_t> out;
     for (const auto &[name, sid] : index)
-        out.emplace(name, values[sid]);
+        if (!quiet[sid] || values[sid] != 0)
+            out.emplace(name, values[sid]);
     return out;
 }
 

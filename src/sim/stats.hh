@@ -83,22 +83,19 @@ class StatSet
      */
     StatId id(const std::string &name);
 
+    /**
+     * Resolve @p name like id(), but leave the counter out of all()
+     * until it first counts: a rare event (a VM destroyed, a revoke)
+     * that never happened exports no zero row, exactly as if the
+     * counter had been created by its first increment.
+     */
+    StatId quietId(const std::string &name);
+
     /** Increment the interned counter @p sid (hot path). */
     void
     inc(StatId sid, std::uint64_t delta = 1)
     {
         values[sid] += delta;
-    }
-
-    /**
-     * Increment @p name by @p delta (creating it at 0 if absent).
-     * Compatibility/slow-path form: pays a map lookup per call — keep
-     * it off per-access and per-call paths (use id() + inc(StatId)).
-     */
-    void
-    inc(const std::string &name, std::uint64_t delta = 1)
-    {
-        values[id(name)] += delta;
     }
 
     /** Read an interned counter. */
@@ -119,6 +116,8 @@ class StatSet
   private:
     std::map<std::string, StatId> index;
     std::vector<std::uint64_t> values;
+    /** Per StatId: registered by quietId() and not yet counted. */
+    std::vector<bool> quiet;
 };
 
 } // namespace elisa::sim

@@ -4,12 +4,15 @@
  * allocator.
  */
 
+#include <fstream>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "base/units.hh"
+#include "hv/hypervisor.hh"
 #include "mem/backing_store.hh"
 #include "mem/frame_allocator.hh"
 #include "mem/host_memory.hh"
@@ -67,6 +70,69 @@ TEST(HostMemory, RawPointerIsStable)
     std::uint8_t *p = m.raw(0x1000);
     *p = 0x5a;
     EXPECT_EQ(m.raw(0x1000)[0], 0x5a);
+}
+
+bool
+allBytesAre(const std::uint8_t *p, std::uint64_t len, std::uint8_t value)
+{
+    return std::all_of(p, p + len,
+                       [value](std::uint8_t b) { return b == value; });
+}
+
+TEST(HostMemory, FreshLargeMemoryReadsZero)
+{
+    // Committed on first touch: nothing was written, so every byte,
+    // first and last page included, reads zero.
+    HostMemory m(64 * MiB);
+    EXPECT_TRUE(allBytesAre(m.raw(0, m.size()), m.size(), 0));
+}
+
+TEST(HostMemory, ZeroClearsExactlyTheRangeAtEverySize)
+{
+    HostMemory m(8 * MiB);
+    std::uint8_t *all = m.raw(0, m.size());
+    struct Range
+    {
+        Hpa hpa;
+        std::uint64_t len;
+    };
+    // 3 MiB from an unaligned start to an unaligned end: the pages in
+    // between are handed back, the ragged edges memset. Then the same
+    // below the 2 MiB threshold, where the whole range is memset.
+    for (const Range r : {Range{MiB + 123, 3 * MiB + 77},
+                          Range{5 * MiB + 9, 2 * MiB - 4 * KiB - 18}}) {
+        std::memset(all, 0xa5, m.size());
+        m.zero(r.hpa, r.len);
+        EXPECT_TRUE(allBytesAre(all, r.hpa, 0xa5));
+        EXPECT_TRUE(allBytesAre(all + r.hpa, r.len, 0));
+        EXPECT_TRUE(allBytesAre(all + r.hpa + r.len,
+                                m.size() - r.hpa - r.len, 0xa5));
+    }
+}
+
+/** This process's resident set, in KiB (VmRSS of /proc/self/status). */
+std::uint64_t
+residentKiB()
+{
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);)
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stoull(line.substr(6));
+    return 0;
+}
+
+TEST(HostMemory, MachineSetUpCommitsOnlyWhatItTouches)
+{
+    // A 1 GiB machine with a 256 MiB VM: creating the VM zeroes its
+    // RAM and builds its EPT, but must not fault in the RAM itself.
+    const std::uint64_t before = residentKiB();
+    ASSERT_NE(before, 0u);
+    hv::Hypervisor hyper(1 * GiB);
+    hv::Vm &vm = hyper.createVm("guest", 256 * MiB);
+    EXPECT_EQ(vm.ramBytes(), 256 * MiB);
+    const std::uint64_t after = residentKiB();
+    EXPECT_LT(after * KiB, before * KiB + 16 * MiB)
+        << "VmRSS went from " << before << " KiB to " << after << " KiB";
 }
 
 TEST(FrameAllocator, AllocFreeBasics)
@@ -191,6 +257,17 @@ TEST(BackingStore, SlotRoundTripPreservesBytes)
     store.free(*slot);
     EXPECT_FALSE(store.isAllocated(*slot));
     EXPECT_EQ(store.freeSlots(), 8u);
+}
+
+TEST(BackingStore, SlotReadsZeroBeforeItsFirstWrite)
+{
+    BackingStore store(1024);
+    store.alloc();
+    auto slot = store.alloc();
+    ASSERT_TRUE(slot);
+    std::vector<std::uint8_t> back(pageSize, 0xff);
+    store.read(*slot, back.data());
+    EXPECT_EQ(back, std::vector<std::uint8_t>(pageSize, 0));
 }
 
 TEST(BackingStore, ExhaustionAndRecycling)

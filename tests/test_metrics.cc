@@ -121,8 +121,8 @@ TEST(Metrics, HistogramAndClearValues)
 TEST(Metrics, StatSetAdoption)
 {
     StatSet stats;
-    stats.inc("calls", 3);
-    stats.inc("faults");
+    stats.inc(stats.id("calls"), 3);
+    stats.inc(stats.id("faults"));
 
     Metrics m;
     m.attachStatSet(stats, {{"vm", "7"}}, "vcpu_");
@@ -136,7 +136,7 @@ TEST(Metrics, StatSetAdoption)
 
     // The set keeps living in its subsystem: later increments are
     // visible at the next export without re-attaching.
-    stats.inc("calls");
+    stats.inc(stats.id("calls"));
     EXPECT_NE(m.report().find("vcpu_calls{vm=\"7\"} = 4"),
               std::string::npos);
 

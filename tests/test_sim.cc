@@ -5,6 +5,8 @@
  */
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -133,14 +135,41 @@ TEST(RunningStats, MergeMatchesCombinedStream)
 TEST(StatSet, IncrementAndClear)
 {
     StatSet s;
-    s.inc("a");
-    s.inc("a", 2);
-    s.inc("b");
+    s.inc(s.id("a"));
+    s.inc(s.id("a"), 2);
+    s.inc(s.id("b"));
     EXPECT_EQ(s.get("a"), 3u);
     EXPECT_EQ(s.get("b"), 1u);
     EXPECT_EQ(s.get("missing"), 0u);
     s.clear();
     EXPECT_EQ(s.get("a"), 0u);
+}
+
+TEST(StatSet, QuietCounterIsListedFromItsFirstCount)
+{
+    StatSet s;
+    const StatId listed = s.id("listed");
+    const StatId quiet = s.quietId("quiet");
+    EXPECT_EQ(s.all(), (std::map<std::string, std::uint64_t>{
+                           {"listed", 0}}));
+    EXPECT_EQ(s.get("quiet"), 0u);
+
+    s.inc(quiet);
+    s.inc(listed);
+    EXPECT_EQ(s.all(), (std::map<std::string, std::uint64_t>{
+                           {"listed", 1}, {"quiet", 1}}));
+    EXPECT_EQ(s.quietId("quiet"), quiet);
+
+    // Once it has counted it stays listed, as a counter created by
+    // its first increment does; one that never counted stays out.
+    const StatId never = s.quietId("never");
+    s.clear();
+    EXPECT_EQ(s.all(), (std::map<std::string, std::uint64_t>{
+                           {"listed", 0}, {"quiet", 0}}));
+
+    // id() lists a quiet counter at once.
+    EXPECT_EQ(s.id("never"), never);
+    EXPECT_EQ(s.all().count("never"), 1u);
 }
 
 TEST(Histogram, ExactForSmallValues)

@@ -22,6 +22,7 @@
 
 #include "base/units.hh"
 #include "cpu/guest_view.hh"
+#include "disabled_hooks.hh"
 #include "elisa/gate.hh"
 #include "elisa/guest_api.hh"
 #include "elisa/manager.hh"
@@ -853,11 +854,13 @@ TEST(InstrumentsAgree, HostTouchSpanIsThePageRows)
 // ===================================================================
 // The overhead budget: tracing compiled in but disabled must cost
 // BM_GateCall at most 2%. The hook is one pointer test. A disabled
-// gate call executes 6 of them: 2 choosing the gate's bare body over
-// the probed one, and 4 in Vcpu::vmfunc, which tests the tracer once
-// per switch. The budget keeps 22 replicas, the count it was set with,
-// so it can only tighten. We measure both sides in wall-clock time
-// and print a grep-able line for CI.
+// gate call executes 6 of them: 2 in Gate::roundTrip choosing the
+// bare body over the probed one (tracer, ledger), and 4 in
+// Vcpu::vmfunc, which tests the tracer once per switch (the bare body
+// switches four times). The count is taken from `objdump -d` of the
+// built Gate::roundTrip, Gate::roundTripWith<NoProbe> and
+// Vcpu::vmfunc. We measure both sides in wall-clock time and print a
+// grep-able line for CI.
 // ===================================================================
 
 TEST_F(TraceTest, DisabledTracerOverheadWithinBudget)
@@ -882,51 +885,12 @@ TEST_F(TraceTest, DisabledTracerOverheadWithinBudget)
         call_ns = std::min(call_ns, dt / (double)calls);
     }
 
-    // The disabled hook primitive: a pointer load + never-taken
-    // branch, measured as the delta between two identical loops, one
-    // with 22 hook replicas per iteration (at least the per-gate-call
-    // hook count, see above) and one without. Both loops touch the
-    // same state through an opaque call so the loads can't be hoisted
-    // entirely — this overstates the real cost, which is CSE'd and
-    // overlapped inside the gate code.
-    struct Host
-    {
-        Tracer *tr = nullptr;
-    } host;
-    auto opaque = [](Host *h) {
-        asm volatile("" : : "r"(h) : "memory");
-    };
-    constexpr std::uint64_t iters = 2000000;
-    constexpr unsigned hooksPerCall = 22;
-    std::uint64_t sink = 0;
-
-    double base_ns = 1e9, hooked_ns = 1e9;
-    for (int r = 0; r < rounds; ++r) {
-        auto t0 = clock::now();
-        for (std::uint64_t i = 0; i < iters; ++i)
-            opaque(&host);
-        const auto base = std::chrono::duration<double, std::nano>(
-                              clock::now() - t0)
-                              .count();
-        base_ns = std::min(base_ns, base / (double)iters);
-
-        t0 = clock::now();
-        for (std::uint64_t i = 0; i < iters; ++i) {
-            opaque(&host);
-            for (unsigned h = 0; h < hooksPerCall; ++h) {
-                if (host.tr != nullptr)
-                    ++sink;
-            }
-        }
-        const auto hooked = std::chrono::duration<double, std::nano>(
-                                clock::now() - t0)
-                                .count();
-        hooked_ns = std::min(hooked_ns, hooked / (double)iters);
-    }
-    asm volatile("" : : "r"(sink));
-
+    // The disabled hook primitive: one pointer load + never-taken
+    // branch per replica, measured as the delta between two identical
+    // loops, the hooked one carrying the per-call count (see above).
+    constexpr unsigned hooksPerCall = 6;
     const double hook_cost =
-        hooked_ns > base_ns ? hooked_ns - base_ns : 0.0;
+        test::disabledHooksNs<hooksPerCall>(rounds, 2000000);
     const double overhead_pct = hook_cost / call_ns * 100.0;
 
     // Grep-able by the CI workflow.
