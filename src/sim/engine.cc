@@ -65,6 +65,7 @@ Engine::clear()
     panic_if(running, "Engine::clear during run()");
     entries.clear();
     shards.clear();
+    windowCount = 0;
     // Restart the sampler series: a reused Engine must fire its first
     // sample one period into the new run, not wherever the previous
     // population left nextSample.
@@ -185,41 +186,27 @@ Engine::heapRemoveTop(Shard &sh)
 }
 
 SimNs
-Engine::shardNext(Shard &sh)
+Engine::topActorTime(Shard &sh)
 {
-    SimNs next = noWork;
     while (!sh.heap.empty()) {
         Entry &top = entries[sh.heap[0]];
         const SimNs now = top.actor->actorNow();
-        if (now != top.cachedNow) {
-            // A delivered event advanced this actor; re-key lazily.
-            panic_if(now < top.cachedNow, "actor clock ran backwards");
-            top.cachedNow = now;
-            siftDown(sh, 0);
-            continue;
-        }
-        if (now < runHorizon)
-            next = now;
-        break;
+        if (now == top.cachedNow)
+            return now;
+        panic_if(now < top.cachedNow, "actor clock ran backwards");
+        top.cachedNow = now;
+        siftDown(sh, 0);
     }
-    if (!sh.events.empty()) {
-        const SimNs at = sh.events.top().at;
-        if (at < runHorizon && at < next)
-            next = at;
-    }
-    return next;
+    return noWork;
 }
 
-void
-Engine::drainInbox(Shard &sh)
+SimNs
+Engine::shardNext(Shard &sh)
 {
-    if (sh.inbox.empty())
-        return;
-    for (Event &ev : sh.inbox)
-        sh.events.push(std::move(ev));
-    sh.inbox.clear();
-    // A poster may be blocked on the channel bound.
-    cv.notify_all();
+    SimNs next = topActorTime(sh);
+    if (!sh.events.empty())
+        next = std::min(next, sh.events.top().at);
+    return next < runHorizon ? next : noWork;
 }
 
 void
@@ -237,26 +224,11 @@ Engine::post(ShardId dest, SimNs deliver_at, EventFn fn)
              (unsigned long long)ctx->itemTime,
              (unsigned long long)lookaheadNs);
 
+    // deliver_at >= item time + lookahead >= window end: the event is
+    // never due in this window, so the barrier hand-over is in time.
     Shard &src = *shards[ctx->shard];
-    Event ev{deliver_at, ctx->shard, src.postSeq++, std::move(fn)};
-    Shard &dst = *shards[dest];
-
-    std::unique_lock<std::mutex> lock(mu);
-    if (dst.owner == src.owner) {
-        // Same worker owns both shards: the destination queue cannot
-        // be drained concurrently (it is this thread's), so deliver
-        // directly — blocking on the bound would deadlock.
-        dst.events.push(std::move(ev));
-    } else {
-        cv.wait(lock,
-                [&] { return dst.inbox.size() < channelCapacity; });
-        dst.inbox.push_back(std::move(ev));
-    }
-    // Authoritative frontier update: anyone computing the global
-    // minimum after this sees the destination's new obligation.
-    if (deliver_at < runHorizon && deliver_at < dst.nextTime)
-        dst.nextTime = deliver_at;
-    cv.notify_all();
+    src.outbox[dest].push_back(
+        Event{deliver_at, ctx->shard, src.postSeq++, std::move(fn)});
 }
 
 void
@@ -268,26 +240,9 @@ Engine::executeBatch(ShardId sid, SimNs safe)
     tlsExecCtx = &ctx;
 
     for (;;) {
-        // Earliest pending event.
         const SimNs eventAt =
             sh.events.empty() ? noWork : sh.events.top().at;
-
-        // Earliest actor, lazily re-keyed (an event just delivered
-        // may have advanced an actor's clock past its cached key).
-        SimNs actorAt = noWork;
-        while (!sh.heap.empty()) {
-            Entry &top = entries[sh.heap[0]];
-            const SimNs now = top.actor->actorNow();
-            if (now != top.cachedNow) {
-                panic_if(now < top.cachedNow,
-                         "actor clock ran backwards");
-                top.cachedNow = now;
-                siftDown(sh, 0);
-                continue;
-            }
-            actorAt = now;
-            break;
-        }
+        const SimNs actorAt = topActorTime(sh);
 
         // Events deliver before steps at the same simulated time: an
         // arrival at t is observable by the actor scheduled at t.
@@ -326,81 +281,76 @@ Engine::executeBatch(ShardId sid, SimNs safe)
 }
 
 void
-Engine::workerLoop(unsigned w)
+Engine::barrier(bool plan)
 {
-    std::vector<ShardId> mine;
-    for (ShardId s = 0; s < shards.size(); ++s) {
-        if (shards[s]->owner == w)
-            mine.push_back(s);
+    const unsigned current = phase.load();
+    if (arrived.fetch_add(1) + 1 < workerCount) {
+        phase.wait(current);
+        return;
+    }
+    arrived.store(0);
+    if (plan)
+        planWindow();
+    phase.store(current + 1);
+    if (workerCount > 1)
+        phase.notify_all();
+}
+
+void
+Engine::planWindow()
+{
+    // Global causal frontier: the earliest pending work anywhere.
+    SimNs gmin = noWork;
+    for (const auto &sh : shards)
+        gmin = std::min(gmin, sh->nextTime);
+    if (gmin == noWork) {
+        done = true;
+        return;
+    }
+    ++windowCount;
+
+    // Boundaries at or below the frontier are final: every shard has
+    // executed all of its work below gmin, and none at or past the
+    // unfired boundary (it capped every earlier window), so the
+    // machine is quiescent around the callback.
+    while (sampler && nextSample <= gmin) {
+        sampler(nextSample);
+        nextSample += samplePeriod;
     }
 
-    std::unique_lock<std::mutex> lock(mu);
-    std::vector<ShardId> work;
-    while (!done) {
-        // Refresh this worker's authoritative frontiers.
-        for (ShardId s : mine) {
-            drainInbox(*shards[s]);
-            shards[s]->nextTime = shardNext(*shards[s]);
-        }
+    // Conservative window: work strictly below the frontier plus
+    // lookahead can never be invalidated by a cross-shard event
+    // (posts deliver at >= sender item time + lookahead, and the
+    // sender's item time is >= gmin).
+    windowEnd = lookaheadNs > noWork - gmin ? noWork : gmin + lookaheadNs;
+    windowEnd = std::min(windowEnd, runHorizon);
+    if (sampler)
+        windowEnd = std::min(windowEnd, nextSample);
+}
 
-        // Global causal frontier: the earliest pending work anywhere.
-        SimNs gmin = noWork;
-        for (const auto &sh : shards) {
-            if (sh->nextTime < gmin)
-                gmin = sh->nextTime;
+void
+Engine::workerLoop(unsigned w)
+{
+    const std::size_t n = shards.size();
+    for (;;) {
+        // Take the last window's posts to this worker's shards.
+        for (ShardId d = w; d < n; d += workerCount) {
+            Shard &dst = *shards[d];
+            for (const auto &src : shards) {
+                for (Event &ev : src->outbox[d])
+                    dst.events.push(std::move(ev));
+                src->outbox[d].clear();
+            }
+            dst.nextTime = shardNext(dst);
         }
-        if (gmin == noWork) {
-            // Frontier updates are authoritative (posts update the
-            // destination under the mutex, executing shards keep
-            // their batch-start time), so "everything at/past the
-            // horizon" here is global and final.
-            done = true;
-            cv.notify_all();
-            break;
+        barrier(true);
+        if (done)
+            return;
+        for (ShardId s = w; s < n; s += workerCount) {
+            if (shards[s]->nextTime < windowEnd)
+                executeBatch(s, windowEnd);
         }
-
-        // Sample boundaries at or below the frontier are final: no
-        // shard holds unexecuted work below gmin, and none will
-        // execute work at or past the boundary until the cap below
-        // is raised — the machine is quiescent around the callback.
-        while (samplePeriod && sampler && nextSample <= gmin) {
-            sampler(nextSample);
-            nextSample += samplePeriod;
-        }
-        SimNs cap = runHorizon;
-        if (samplePeriod && sampler && nextSample < cap)
-            cap = nextSample;
-
-        // Conservative window: work strictly below the frontier plus
-        // lookahead can never be invalidated by a cross-shard event
-        // (posts deliver at >= sender item time + lookahead, and the
-        // sender's item time is >= the frontier it contributed).
-        SimNs safe = lookaheadNs > noWork - gmin ? noWork
-                                                 : gmin + lookaheadNs;
-        if (cap < safe)
-            safe = cap;
-
-        work.clear();
-        for (ShardId s : mine) {
-            if (shards[s]->nextTime < safe)
-                work.push_back(s);
-        }
-        if (work.empty()) {
-            // The frontier-minimum shard's owner always has work, so
-            // someone is executing and will advance gmin and notify.
-            cv.wait(lock);
-            continue;
-        }
-
-        lock.unlock();
-        for (ShardId s : work)
-            executeBatch(s, safe);
-        lock.lock();
-        for (ShardId s : work) {
-            drainInbox(*shards[s]);
-            shards[s]->nextTime = shardNext(*shards[s]);
-        }
-        cv.notify_all();
+        barrier(false);
     }
 }
 
@@ -435,7 +385,7 @@ Engine::run(SimNs horizon_ns)
                 siftDown(*sh, pos);
             }
         }
-        sh->nextTime = shardNext(*sh);
+        sh->outbox.resize(shards.size());
     }
 
     unsigned want = threadCount;
@@ -446,10 +396,6 @@ Engine::run(SimNs horizon_ns)
     workerCount = static_cast<unsigned>(
         std::min<std::size_t>(want, shards.empty() ? 1
                                                    : shards.size()));
-    if (workerCount == 0)
-        workerCount = 1;
-    for (ShardId s = 0; s < shards.size(); ++s)
-        shards[s]->owner = s % workerCount;
 
     std::vector<std::thread> pool;
     pool.reserve(workerCount - 1);

@@ -15,26 +15,27 @@
  * registration order regardless of which actors finished earlier.
  *
  * Across shards the engine is a conservative parallel DES in the
- * Chandy–Misra–Bryant tradition: shards only communicate through a
- * bounded inter-shard event channel (post()) whose minimum latency is
- * the engine *lookahead* (derive it from the cost model's minimum
- * cross-shard event latency, CostModel::minCrossShardLatencyNs()).
- * A shard may therefore run ahead of the global causal frontier by up
- * to the lookahead without ever observing an event from its past.
- * Cross-shard events merge in a fixed (time, source-shard, source
- * sequence) order, so the simulated timeline — and every exporter
- * byte derived from it — is identical for any thread count,
- * including one.
+ * Chandy–Misra–Bryant tradition: shards only communicate through
+ * cross-shard events (post()) whose minimum latency is the engine
+ * *lookahead* (derive it from the cost model's minimum cross-shard
+ * event latency, CostModel::minCrossShardLatencyNs()). The engine runs
+ * in bulk-synchronous windows: every shard executes its work strictly
+ * below min(global frontier + lookahead, next sample, horizon), the
+ * workers meet at a barrier, hand the window's posts over and plan
+ * the next window. No event posted inside a window can be due inside
+ * it, so execution needs no locks. Cross-shard events merge in a
+ * fixed (time, source-shard, source sequence) order, so the simulated
+ * timeline — and every exporter byte derived from it, including the
+ * window count — is identical for any thread count, including one.
  */
 
 #ifndef ELISA_SIM_ENGINE_HH
 #define ELISA_SIM_ENGINE_HH
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <vector>
 
@@ -82,9 +83,6 @@ class Engine
   public:
     /** Delivered cross-shard event: fn(deliver_time). */
     using EventFn = std::function<void(SimNs)>;
-
-    /** Inter-shard channel capacity (pending events per shard). */
-    static constexpr std::size_t channelCapacity = 4096;
 
     /**
      * Thread count defaults to the ELISA_SIM_THREADS environment
@@ -144,8 +142,10 @@ class Engine
      * Only callable from within a step() or a delivered event, with
      * deliver_at >= (current item's scheduled time + lookahead); any
      * earlier delivery could land in the destination's past and
-     * panics. The channel is bounded (channelCapacity); a poster
-     * blocks until the destination drains when it is full.
+     * panics. The event goes into an unbounded outbox that only the
+     * posting shard touches: post() takes no lock and never blocks,
+     * and the destination receives the event at the next window
+     * barrier (it cannot be due before then).
      *
      * The callback must touch only destination-shard state (it runs
      * concurrently with every other shard).
@@ -166,8 +166,15 @@ class Engine
     /** Number of actors still runnable after the last run(). */
     std::size_t runnable() const;
 
-    /** Cross-shard events delivered over the engine's lifetime. */
+    /** Cross-shard events delivered since construction or clear(). */
     std::uint64_t delivered() const;
+
+    /**
+     * Execution windows planned since construction or clear(). A
+     * function of the simulated timeline only, never of the thread
+     * count.
+     */
+    std::uint64_t windows() const { return windowCount; }
 
     /** Number of shards (highest shard id registered + 1). */
     std::size_t shardCount() const { return shards.size(); }
@@ -231,15 +238,19 @@ class Engine
         bool alive = false;
     };
 
-    /** Per-shard scheduling state. Heap/queue are owner-thread only. */
+    /**
+     * Per-shard scheduling state, touched only by the owning worker
+     * (worker w owns shards w, w + n, ...) except at the barriers.
+     */
     struct Shard
     {
         std::vector<RegId> heap; ///< min-heap by (cachedNow, reg)
         std::priority_queue<Event, std::vector<Event>, EventAfter>
             events;              ///< delivery-ordered pending events
-        std::vector<Event> inbox; ///< cross-worker handoff (mutex)
-        SimNs nextTime = noWork; ///< authoritative frontier (mutex)
-        unsigned owner = 0;      ///< owning worker index (this run)
+        /// Posts of this window, by destination shard; the
+        /// destination's owner takes them after the window.
+        std::vector<std::vector<Event>> outbox;
+        SimNs nextTime = noWork; ///< earliest work below the horizon
         std::uint64_t steps = 0; ///< step() calls this run
         std::uint64_t deliveredEvents = 0; ///< lifetime deliveries
         std::uint64_t postSeq = 0; ///< outgoing event sequence
@@ -253,24 +264,36 @@ class Engine
     void heapRemoveTop(Shard &sh);
 
     /**
-     * Refresh the heap top's cached key against the live clock (an
-     * event callback may have advanced an actor), then return the
-     * shard's earliest pending work below the horizon, or noWork.
+     * Re-key the heap top against its live clock until it is exact
+     * (an event callback may have advanced an actor), then return the
+     * earliest actor time, or noWork.
      */
-    SimNs shardNext(Shard &sh);
+    SimNs topActorTime(Shard &sh);
 
-    /** Move inbox events (mutex held) into the delivery queue. */
-    void drainInbox(Shard &sh);
+    /** The shard's earliest pending work below the horizon, or noWork. */
+    SimNs shardNext(Shard &sh);
 
     /**
      * Execute every item of @p sh scheduled strictly before @p safe:
      * pending events first at equal times, then actor steps, all in
-     * (time, tie-break) order. Lock-free except post() calls made by
-     * the items themselves.
+     * (time, tie-break) order.
      */
     void executeBatch(ShardId sid, SimNs safe);
 
-    /** Worker @p w body: drains, schedules, executes, terminates. */
+    /**
+     * Wait until every worker arrived; the last to arrive runs
+     * planWindow() (if @p plan) before any of them is released.
+     */
+    void barrier(bool plan);
+
+    /**
+     * Plan the next window (all workers at the barrier): fire due
+     * sampler boundaries and set windowEnd, or done when no work
+     * below the horizon remains.
+     */
+    void planWindow();
+
+    /** Worker @p w body: hand over, plan, execute, until done. */
     void workerLoop(unsigned w);
 
     std::vector<Entry> entries;
@@ -283,13 +306,16 @@ class Engine
     unsigned threadCount = 1;
     SimNs lookaheadNs = 1;
 
+    std::uint64_t windowCount = 0;
+
     // ---- state of the run in progress ------------------------------
-    std::mutex mu;
-    std::condition_variable cv;
     bool running = false;
     bool done = false;
     unsigned workerCount = 1;
     SimNs runHorizon = ~SimNs{0};
+    SimNs windowEnd = 0; ///< execute strictly below this
+    std::atomic<unsigned> arrived{0}; ///< workers at the barrier
+    std::atomic<unsigned> phase{0};   ///< barrier generation
 };
 
 } // namespace elisa::sim

@@ -5,8 +5,12 @@
  */
 
 #include <algorithm>
+#include <functional>
 #include <map>
+#include <memory>
+#include <queue>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -622,6 +626,291 @@ TEST(Engine, CrossShardResourceRaceHasSameWinnerAtAnyThreadCount)
     EXPECT_EQ(serial, parallel2);
     // Equal delivery times resolve by source shard: shard 1 wins.
     EXPECT_EQ(serial.first.front().second, 1);
+}
+
+// ---- reference executor + schedule fuzzer ----------------------------
+
+/**
+ * Reference sequential executor: one heap over every actor and event
+ * of every shard, ordered by the engine's tie rules — events before
+ * equal-time steps, events by (time, source shard, source sequence),
+ * actors by (clock, registration id) — with each sampler boundary
+ * fired before any item at or past it. It interleaves shards
+ * differently from the engine, which no shard's log can observe, so
+ * each shard's log must match the engine's.
+ */
+class RefExecutor
+{
+  public:
+    explicit RefExecutor(SimNs lookahead) : lookaheadNs(lookahead) {}
+
+    void
+    add(Actor *actor, ShardId shard)
+    {
+        heap.push({actor->actorNow(), true, actors.size(), 0, shard, {}});
+        actors.push_back(actor);
+        if (postSeq.size() <= shard)
+            postSeq.resize(shard + 1, 0);
+    }
+
+    void
+    setSampler(SimNs period, std::function<void(SimNs)> fn)
+    {
+        samplePeriod = nextSample = period;
+        sampler = std::move(fn);
+    }
+
+    void
+    post(ShardId dest, SimNs at, Engine::EventFn fn)
+    {
+        ASSERT_GE(at, itemTime + lookaheadNs);
+        ASSERT_LT(dest, postSeq.size());
+        heap.push({at, false, itemShard, postSeq[itemShard]++, dest,
+                   std::move(fn)});
+    }
+
+    std::uint64_t
+    run(SimNs horizon = ~SimNs{0})
+    {
+        std::uint64_t steps = 0;
+        while (!heap.empty() && heap.top().t < horizon) {
+            Item it = heap.top();
+            heap.pop();
+            if (it.step && actors[it.a]->actorNow() != it.t) {
+                it.t = actors[it.a]->actorNow(); // an event advanced it
+                heap.push(std::move(it));
+                continue;
+            }
+            for (; sampler && nextSample <= it.t; nextSample += samplePeriod)
+                sampler(nextSample);
+            itemTime = it.t;
+            itemShard = it.dest;
+            if (!it.step) {
+                it.fn(it.t);
+                ++deliveredEvents;
+                continue;
+            }
+            ++steps;
+            if (actors[it.a]->step())
+                heap.push({actors[it.a]->actorNow(), true, it.a, 0,
+                           it.dest, {}});
+        }
+        return steps;
+    }
+
+    std::uint64_t delivered() const { return deliveredEvents; }
+
+  private:
+    struct Item
+    {
+        SimNs t;
+        bool step;          ///< actor step (after equal-time events)
+        std::uint64_t a, b; ///< (reg, 0) or (source shard, sequence)
+        ShardId dest;       ///< shard the item executes on
+        Engine::EventFn fn;
+
+        bool
+        operator<(const Item &o) const // priority_queue: "later than"
+        {
+            return std::tie(t, step, a, b) > std::tie(o.t, o.step, o.a, o.b);
+        }
+    };
+
+    std::priority_queue<Item> heap;
+    std::vector<Actor *> actors;
+    std::vector<std::uint64_t> postSeq;
+    SimNs lookaheadNs;
+    SimNs itemTime = 0;
+    ShardId itemShard = 0;
+    SimNs samplePeriod = 0, nextSample = 0;
+    std::function<void(SimNs)> sampler;
+    std::uint64_t deliveredEvents = 0;
+};
+
+/** One shard-log record: (time, 'S'tep or 'E'vent, identity). */
+using LogRec = std::tuple<SimNs, char, std::uint64_t>;
+
+/**
+ * A randomised world whose actors and events behave as a function of
+ * their own seeds only, so every correct executor produces the same
+ * per-shard logs. Times sit on a 5 ns grid and strides may be zero,
+ * so equal-time steps, self posts and cross posts collide often.
+ */
+struct FuzzWorld
+{
+    std::function<void(ShardId, SimNs, Engine::EventFn)> post;
+    ShardId shardCount = 1;
+    SimNs lookahead = 1;
+    std::vector<std::vector<LogRec>> logs;
+    std::vector<std::vector<SimClock *>> clocks; ///< per-shard actors
+    std::vector<std::pair<SimNs, std::vector<std::size_t>>> samples;
+
+    /** Post a seeded event from an item at @p t (chains to depth 3). */
+    void
+    send(Rng &rng, SimNs t, unsigned depth)
+    {
+        const ShardId dest = (ShardId)rng.below(shardCount);
+        const std::uint64_t seed = rng.next();
+        post(dest, t + lookahead + rng.below(3) * 5,
+             [this, dest, seed, depth](SimNs at) {
+                 logs[dest].emplace_back(at, 'E', seed);
+                 Rng erng(seed);
+                 if (erng.chance(0.25) && !clocks[dest].empty())
+                     clocks[dest][erng.below(clocks[dest].size())]
+                         ->advance(erng.below(3) * 5);
+                 if (depth < 3 && erng.chance(0.3))
+                     send(erng, at, depth + 1);
+             });
+    }
+
+    void
+    sample(SimNs boundary)
+    {
+        std::vector<std::size_t> sizes;
+        for (const auto &log : logs)
+            sizes.push_back(log.size());
+        samples.emplace_back(boundary, std::move(sizes));
+    }
+};
+
+class FuzzActor : public Actor
+{
+  public:
+    FuzzActor(FuzzWorld &world, ShardId shard, std::uint64_t id,
+              std::uint64_t seed, int steps, SimNs start,
+              unsigned burst)
+        : world(world), shard(shard), id(id), rng(seed),
+          remaining(steps), burst(burst)
+    {
+        clock.advance(start);
+    }
+
+    SimNs actorNow() const override { return clock.now(); }
+    SimClock *clockPtr() { return &clock; }
+
+    bool
+    step() override
+    {
+        const SimNs t = clock.now();
+        world.logs[shard].emplace_back(t, 'S', id);
+        for (std::uint64_t i = 0, n = burst ? burst : rng.below(3);
+             i < n; ++i)
+            world.send(rng, t, 0);
+        burst = 0;
+        clock.advance(rng.below(4) * 5);
+        return --remaining > 0;
+    }
+
+  private:
+    FuzzWorld &world;
+    ShardId shard;
+    std::uint64_t id;
+    SimClock clock;
+    Rng rng;
+    int remaining;
+    unsigned burst;
+};
+
+/** Everything an executor run of one fuzz case observes. */
+struct FuzzOutcome
+{
+    std::vector<std::vector<LogRec>> logs;
+    std::vector<std::pair<SimNs, std::vector<std::size_t>>> samples;
+    std::vector<std::uint64_t> stepsPerRun;
+    std::uint64_t delivered = 0;
+
+    bool
+    operator==(const FuzzOutcome &o) const
+    {
+        return logs == o.logs && samples == o.samples &&
+               stepsPerRun == o.stepsPerRun && delivered == o.delivered;
+    }
+};
+
+/**
+ * Build fuzz case @p seed on @p exec (Engine or RefExecutor), run it
+ * in horizon slices and return what it observed. A non-zero @p burst
+ * makes the first actor post that many events in its first step.
+ */
+template <class Exec>
+FuzzOutcome
+runFuzzCase(std::uint64_t seed, Exec &exec, SimNs lookahead,
+            unsigned burst = 0)
+{
+    Rng rng(seed);
+    FuzzWorld world;
+    world.lookahead = lookahead;
+    world.shardCount = 1 + (ShardId)rng.below(5);
+    world.logs.resize(world.shardCount);
+    world.clocks.resize(world.shardCount);
+    world.post = [&exec](ShardId d, SimNs at, Engine::EventFn fn) {
+        exec.post(d, at, std::move(fn));
+    };
+
+    std::vector<std::unique_ptr<FuzzActor>> actors;
+    for (ShardId s = 0; s < world.shardCount; ++s) {
+        // The last shard always has an actor, so every shard exists.
+        const unsigned n = (unsigned)rng.below(4) +
+                           (s + 1 == world.shardCount ? 1 : 0);
+        for (unsigned i = 0; i < n; ++i) {
+            const std::uint64_t actor_seed = rng.next();
+            const int steps = 1 + (int)rng.below(40);
+            const SimNs start = rng.below(11) * 5;
+            actors.push_back(std::make_unique<FuzzActor>(
+                world, s, actors.size(), actor_seed, steps, start,
+                actors.empty() ? burst : 0));
+            world.clocks[s].push_back(actors.back()->clockPtr());
+            exec.add(actors.back().get(), s);
+        }
+    }
+    const SimNs periods[] = {0, 0, 7, 20, 50};
+    if (const SimNs period = periods[rng.below(5)])
+        exec.setSampler(period,
+                        [&world](SimNs t) { world.sample(t); });
+
+    FuzzOutcome out;
+    SimNs horizon = 0;
+    for (unsigned slices = (unsigned)rng.below(4); slices-- > 0;) {
+        horizon += rng.below(60) * 5 + rng.below(3);
+        out.stepsPerRun.push_back(exec.run(horizon));
+    }
+    out.stepsPerRun.push_back(exec.run());
+    out.logs = std::move(world.logs);
+    out.samples = std::move(world.samples);
+    out.delivered = exec.delivered();
+    return out;
+}
+
+/** Oracle outcome vs the engine's at 1, 2 and 4 threads. */
+void
+checkAgainstOracle(std::uint64_t seed, unsigned burst = 0)
+{
+    const SimNs lookaheads[] = {1, 5, 10, 23};
+    const SimNs lookahead = lookaheads[Rng(~seed).below(4)];
+    RefExecutor ref(lookahead);
+    const FuzzOutcome expect = runFuzzCase(seed, ref, lookahead, burst);
+    for (unsigned threads : {1u, 2u, 4u}) {
+        Engine engine;
+        engine.setThreads(threads);
+        engine.setLookahead(lookahead);
+        EXPECT_TRUE(runFuzzCase(seed, engine, lookahead, burst) == expect)
+            << "seed " << seed << " diverged from the oracle at "
+            << threads << " threads (lookahead " << lookahead << ")";
+    }
+}
+
+TEST(EngineOracle, SeededSchedulesMatchReferenceExecutor)
+{
+    for (std::uint64_t seed = 1; seed <= 200; ++seed)
+        checkAgainstOracle(seed);
+}
+
+TEST(EngineOracle, PostBurstIntoOneShardWithinOneWindow)
+{
+    // The first actor posts 5000 events in one step, all due in the
+    // same future window (more than any bounded channel would hold).
+    for (std::uint64_t seed = 1; seed <= 3; ++seed)
+        checkAgainstOracle(seed, 5000);
 }
 
 TEST(CostModel, MinCrossShardLatencyIsTheCheapestTransport)
