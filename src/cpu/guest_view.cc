@@ -43,37 +43,28 @@ constexpr std::uint64_t smallCopyMax = 64;
 Hpa
 GuestView::translateChunk(Gpa gpa, std::uint64_t len, ept::Access access)
 {
+    // L0: the Tlb's front line for this access kind mirrors an entry
+    // that already allows it (and, for a write, knows the leaf dirty),
+    // so the entries would return the same translation and charge the
+    // same time (one hit, no walk). No line matches EPTP 0.
+    if (const auto hpa_page =
+            cpu.tlb().front(access, cpu.activeEptp(), gpa)) {
+        cpu.stats().inc(cpu.statIds().l0Hit);
+        chargeAccess(len);
+        return *hpa_page | (gpa & pageMask);
+    }
+    return translateMiss(gpa, len, access);
+}
+
+Hpa
+GuestView::translateMiss(Gpa gpa, std::uint64_t len, ept::Access access)
+{
     const std::uint64_t eptp = cpu.activeEptp();
     panic_if(eptp == 0, "guest access before EPT activation");
 
     ept::Tlb &tlb = cpu.tlb();
-    const Gpa page = pageAlignDown(gpa);
-
-    // L0 fast path: the line was filled after a successful permission
-    // check for this access kind, and no fill / flush / EPTP switch
-    // has happened since (epoch), so the shared Tlb would return the
-    // same translation and charge the same time (one hit, no walk).
-    L0Entry &line = l0[static_cast<unsigned>(access)];
-    if (line.eptp == eptp && line.gpaPage == page &&
-        line.epoch == tlb.epoch()) {
-        cpu.stats().inc(cpu.statIds().l0Hit);
-        chargeAccess(len);
-        return line.hpaPage | (gpa & pageMask);
-    }
-
     const auto &cost = cpu.costModel();
-    ept::Perms need = ept::Perms::Read;
-    switch (access) {
-      case ept::Access::Read:
-        need = ept::Perms::Read;
-        break;
-      case ept::Access::Write:
-        need = ept::Perms::Write;
-        break;
-      case ept::Access::Exec:
-        need = ept::Perms::Exec;
-        break;
-    }
+    const ept::Perms need = ept::permsNeeded(access);
 
     const bool is_write = access == ept::Access::Write;
     auto cached = tlb.lookup(eptp, gpa);
@@ -99,10 +90,7 @@ GuestView::translateChunk(Gpa gpa, std::uint64_t len, ept::Access access)
     if (!cached || !ept::permits(cached->perms, need))
         cached = faultChunk(gpa, len, access, need, cached);
 
-    line.eptp = eptp;
-    line.epoch = tlb.epoch();
-    line.gpaPage = page;
-    line.hpaPage = pageAlignDown(cached->hpa);
+    tlb.promote(access, eptp, gpa);
     return cached->hpa;
 }
 

@@ -15,14 +15,16 @@
  * without changing any simulated-time result (see EXPERIMENTS.md,
  * "Host-side performance budget"):
  *
- *  - An *L0 micro-cache*: the last translated page per access kind is
- *    remembered privately, stamped with the shared ept::Tlb's epoch.
- *    A repeat hit skips the Tlb hash entirely. Any event after which
- *    the remembered translation might diverge from what a Tlb lookup
- *    would return — a Tlb fill (possible eviction), an INVEPT flush,
- *    an EPTP switch — bumps the epoch and kills the L0 entry, so
- *    isolation revocations are never outlived. An L0 hit charges
- *    exactly what the Tlb-hit path would have (memAccessNs per beat).
+ *  - The *L0*: the front of the vCPU's ept::Tlb (see tlb.hh), a few
+ *    EPTP-tagged lines per access kind that mirror Tlb entries already
+ *    proven to allow that kind. A front hit skips the Tlb hash and its
+ *    permission and dirty checks and charges exactly what the Tlb-hit
+ *    path would have (memAccessNs per beat); it counts `l0_hit`
+ *    instead of `tlb_hit`. The front lives in the Tlb, so it outlives
+ *    every GuestView and every VMFUNC, and the Tlb drops a line with
+ *    the entry it mirrors (eviction, INVEPT), so isolation
+ *    revocations are never outlived. A GuestView holds no cache
+ *    state and costs almost nothing to build.
  *
  *  - *Batched time charging*: per-chunk memAccessNs/eptWalkNs charges
  *    accumulate in a local counter and are flushed to the SimClock at
@@ -133,21 +135,16 @@ class GuestView
     Vcpu &vcpu() { return cpu; }
 
   private:
-    /**
-     * One L0 line: the last successful translation for one access
-     * kind. Valid iff eptp matches the active EPTP and epoch matches
-     * the Tlb's current epoch (eptp == 0 means never filled).
-     */
-    struct L0Entry
-    {
-        std::uint64_t eptp = 0;
-        std::uint64_t epoch = 0;
-        Gpa gpaPage = 0;
-        Hpa hpaPage = 0;
-    };
-
     /** Translate one page-bounded chunk and charge access time. */
     Hpa translateChunk(Gpa gpa, std::uint64_t len, ept::Access access);
+
+    /**
+     * translateChunk past an L0 miss: Tlb lookup, walk on a miss, A/D
+     * update, permission check, promotion into the L0. Out of line,
+     * so an L0 hit runs without its register saves.
+     */
+    [[gnu::noinline]] Hpa
+    translateMiss(Gpa gpa, std::uint64_t len, ept::Access access);
 
     /**
      * Cold continuation of translateChunk: the access violated.
@@ -183,7 +180,6 @@ class GuestView
     Vcpu &cpu;
     bool charging;
     SimNs pendingNs = 0;
-    L0Entry l0[3]; ///< indexed by ept::Access
     std::unique_ptr<std::uint8_t[]> bounceBuf; ///< lazily, copyBytes only
 };
 

@@ -39,8 +39,10 @@ Vcpu::setTracer(sim::Tracer *tracer)
 void
 Vcpu::traceVmfunc(std::uint64_t leaf, EptpIndex index)
 {
+    // Stamped at the end of the instruction's time, which the switch
+    // that follows spends.
     tracerPtr->instant(sim::SpanCat::Cpu, vmfuncName, vcpuId,
-                       simClock.now(), leaf, index);
+                       simClock.now() + cost.vmfuncNs, leaf, index);
 }
 
 void
@@ -135,18 +137,23 @@ Vcpu::activateEptp(EptpIndex index)
     panic_if(!eptp, "activating invalid EPTP list entry %u", index);
     currentEptp = *eptp;
     currentIndex = index;
-    translationCache.bumpEpoch();
 }
 
 void
 Vcpu::vmfunc(std::uint64_t leaf, EptpIndex index)
 {
+    if (tracerPtr) [[unlikely]]
+        traceVmfunc(leaf, index);
+    vmfuncBare(leaf, index);
+}
+
+void
+Vcpu::vmfuncBare(std::uint64_t leaf, EptpIndex index)
+{
     // The switch attempt itself consumes the instruction's time before
     // any fault is raised.
     simClock.advance(cost.vmfuncNs);
     statSet.inc(hotIds.vmfunc);
-    if (tracerPtr) [[unlikely]]
-        traceVmfunc(leaf, index);
 
     if (leaf != 0) {
         statSet.inc(hotIds.vmfuncFail);
@@ -159,7 +166,6 @@ Vcpu::vmfunc(std::uint64_t leaf, EptpIndex index)
     }
     currentEptp = *eptp;
     currentIndex = index;
-    translationCache.bumpEpoch();
 }
 
 std::uint64_t

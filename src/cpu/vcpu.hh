@@ -177,9 +177,18 @@ class Vcpu
      * Guest instruction VMFUNC(leaf=@p leaf, rcx=@p index).
      * Switches the active EPT context without a VM exit when leaf==0
      * and the list entry is valid. Otherwise throws VmExitEvent
-     * (VmfuncFail), exactly like the hardware would exit.
+     * (VmfuncFail), exactly like the hardware would exit. The Tlb and
+     * its L0 front survive the switch (their lines carry the EPTP).
+     * Emits the `vmfunc` trace instant when a tracer is installed.
      */
     void vmfunc(std::uint64_t leaf, EptpIndex index);
+
+    /**
+     * vmfunc() without its trace point: the switch itself. For a
+     * caller that has already found no instrument installed (the
+     * bare gate body), so a switch tests nothing.
+     */
+    void vmfuncBare(std::uint64_t leaf, EptpIndex index);
 
     /**
      * Guest instruction VMCALL: exits to the hypervisor, dispatches the
@@ -248,8 +257,9 @@ class Vcpu
 
     /**
      * Out-of-line vmfunc trace emission: keeps the ring push out of
-     * the vmfunc hot path, which runs 4x per gate call and must stay
-     * a single pointer test when no tracer is installed.
+     * vmfunc(), which must stay a single pointer test when no tracer
+     * is installed. Emitted before the switch spends its time, stamped
+     * with the time it ends at.
      */
     [[gnu::noinline]] void traceVmfunc(std::uint64_t leaf,
                                        EptpIndex index);

@@ -121,6 +121,13 @@ class Gate::Probe
         legStart = now;
     }
 
+    /** An EPTP switch, with its `vmfunc` trace instant. */
+    static void
+    vmfunc(cpu::Vcpu &cpu, EptpIndex index)
+    {
+        cpu.vmfunc(0, index);
+    }
+
     /** A completed round trip: the outer span closes with (a0, a1). */
     void finish(std::uint64_t a0, std::uint64_t a1) { closeAll(a0, a1); }
 
@@ -160,12 +167,20 @@ class Gate::Probe
     unsigned depth = 0;
 };
 
-/** The bare round trip: every point compiles to nothing. */
+/**
+ * The bare round trip: every point compiles to nothing, and an EPTP
+ * switch tests no tracer (Gate::roundTrip found none installed).
+ */
 class Gate::NoProbe
 {
   public:
     NoProbe(Gate &, sim::TraceNameCache &, std::uint64_t) {}
     void at(const GatePoint &, std::uint64_t = 0) {}
+    static void
+    vmfunc(cpu::Vcpu &cpu, EptpIndex index)
+    {
+        cpu.vmfuncBare(0, index);
+    }
     void finish(std::uint64_t, std::uint64_t) {}
 };
 
@@ -348,7 +363,7 @@ Gate::roundTripWith(std::span<BatchEntry> entries, bool batch)
 
     // --- enter: default -> gate ------------------------------------
     probe.at(point::Enter, attachInfo.gateIndex);
-    cpu.vmfunc(0, attachInfo.gateIndex);
+    Instruments::vmfunc(cpu, attachInfo.gateIndex);
     probe.at(point::EnterSwitch);
 
     // Gate prologue: the trampoline must be executable here, and the
@@ -364,7 +379,7 @@ Gate::roundTripWith(std::span<BatchEntry> entries, bool batch)
     probe.at(point::Prologue, attachInfo.subIndex);
 
     // --- gate -> sub --------------------------------------------------
-    cpu.vmfunc(0, attachInfo.subIndex);
+    Instruments::vmfunc(cpu, attachInfo.subIndex);
     probe.at(point::SubSwitch);
 
     // Run the shared functions back to back under the sub context with
@@ -390,7 +405,7 @@ Gate::roundTripWith(std::span<BatchEntry> entries, bool batch)
 
     // --- sub -> gate --------------------------------------------------
     probe.at(point::Return, attachInfo.gateIndex);
-    cpu.vmfunc(0, attachInfo.gateIndex);
+    Instruments::vmfunc(cpu, attachInfo.gateIndex);
     probe.at(point::ReturnSwitch);
 
     // Gate epilogue: reload the spill, verify trampoline still there.
@@ -401,7 +416,7 @@ Gate::roundTripWith(std::span<BatchEntry> entries, bool batch)
     probe.at(point::Epilogue, restore[0]);
 
     // --- gate -> default ----------------------------------------------
-    cpu.vmfunc(0, static_cast<EptpIndex>(restore[0]));
+    Instruments::vmfunc(cpu, static_cast<EptpIndex>(restore[0]));
     probe.at(point::ExitSwitch);
 
     cpu.stats().inc(callsId);

@@ -440,19 +440,7 @@ std::optional<Translation>
 Ept::translateFor(Gpa gpa, Access access, EptViolation *violation) const
 {
     auto result = translate(gpa);
-    Perms need = Perms::Read;
-    switch (access) {
-      case Access::Read:
-        need = Perms::Read;
-        break;
-      case Access::Write:
-        need = Perms::Write;
-        break;
-      case Access::Exec:
-        need = Perms::Exec;
-        break;
-    }
-    if (result && permits(result->perms, need))
+    if (result && permits(result->perms, permsNeeded(access)))
         return result;
     if (violation) {
         violation->gpa = gpa;

@@ -31,6 +31,15 @@ enum class Access : std::uint8_t { Read, Write, Exec };
 /** Render an access kind. */
 const char *accessToString(Access access);
 
+/** The permission an access of kind @p access needs. */
+constexpr Perms
+permsNeeded(Access access)
+{
+    return access == Access::Read    ? Perms::Read
+           : access == Access::Write ? Perms::Write
+                                     : Perms::Exec;
+}
+
 /**
  * Description of a failed translation: the simulated equivalent of the
  * EPT-violation exit qualification.

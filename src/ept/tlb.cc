@@ -53,15 +53,14 @@ Tlb::fill(std::uint64_t eptp, Gpa gpa, const Translation &xlat,
           bool dirty_known)
 {
     Entry &e = entries[indexOf(eptp, gpa)];
+    if (e.valid)
+        dropFront(e.eptp, e.gpaPage);
     e.valid = true;
     e.dirtyKnown = dirty_known;
     e.eptp = eptp;
     e.gpaPage = pageAlignDown(gpa);
     e.hpaPage = pageAlignDown(xlat.hpa);
     e.perms = xlat.perms;
-    // The slot may have held another page's translation: L0 copies of
-    // the evicted entry must not survive it.
-    ++epochCount;
 }
 
 bool
@@ -85,8 +84,8 @@ Tlb::flushAll()
 {
     for (auto &e : entries)
         e.valid = false;
+    frontLines = {};
     ++flushCount;
-    ++epochCount;
     if (stats)
         stats->inc(flushId);
 }
@@ -98,10 +97,33 @@ Tlb::flushEptp(std::uint64_t eptp)
         if (e.valid && e.eptp == eptp)
             e.valid = false;
     }
+    frontLines = {};
     ++flushCount;
-    ++epochCount;
     if (stats)
         stats->inc(flushId);
+}
+
+void
+Tlb::promote(Access access, std::uint64_t eptp, Gpa gpa)
+{
+    const Gpa page = pageAlignDown(gpa);
+    const Entry &e = entries[indexOf(eptp, gpa)];
+    if (!e.valid || e.eptp != eptp || e.gpaPage != page ||
+        !permits(e.perms, permsNeeded(access)) ||
+        (access == Access::Write && !e.dirtyKnown))
+        return;
+    frontLines[static_cast<unsigned>(access)][frontIndex(eptp, page)] = {
+        eptp, page, e.hpaPage};
+}
+
+void
+Tlb::dropFront(std::uint64_t eptp, Gpa page)
+{
+    const unsigned i = frontIndex(eptp, page);
+    for (auto &lines : frontLines) {
+        if (lines[i].eptp == eptp && lines[i].gpaPage == page)
+            lines[i] = {};
+    }
 }
 
 std::size_t

@@ -9,22 +9,28 @@
  * operations require an explicit INVEPT-equivalent flush from the
  * hypervisor.
  *
- * The cache exposes an *epoch* counter to the CPU's L0 micro-cache
- * (cpu::GuestView): any event after which a privately remembered
- * translation might no longer match what a Tlb lookup would return —
- * a fill (possible eviction), a flush (INVEPT), or an EPTP context
- * switch — bumps the epoch, so L0 entries stamped with an older epoch
- * can never be served stale.
+ * In front of the entries sits a small *front*: a few lines per access
+ * kind, each naming a (EPTP, page) whose Tlb entry already proved that
+ * kind allowed (and, for writes, the leaf dirty). A front hit is what
+ * a Tlb hit would have been, minus the permission and dirty checks;
+ * the CPU counts it as `l0_hit` instead of `tlb_hit`. Lines carry
+ * their EPTP, so a VMFUNC switch leaves the front alone just as it
+ * leaves the entries. The front is kept exactly in step with the
+ * entries: a fill drops the lines of the entry it overwrites, and
+ * both flushes drop the whole front, so a line never outlives the
+ * entry it mirrors (remap, protect and revoke all end in a flush).
  */
 
 #ifndef ELISA_EPT_TLB_HH
 #define ELISA_EPT_TLB_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "base/types.hh"
+#include "ept/ept.hh"
 #include "ept/ept_entry.hh"
 #include "sim/stats.hh"
 
@@ -54,8 +60,8 @@ class Tlb
     std::optional<Translation> lookup(std::uint64_t eptp, Gpa gpa);
 
     /**
-     * Install a translation (called after a successful walk).
-     * Bumps the epoch: the fill may have evicted another entry.
+     * Install a translation (called after a successful walk). Drops
+     * the front lines of the entry it overwrites.
      * @param dirty_known true when the walk already set the leaf's
      *        dirty flag (a write access), so later writes through
      *        this entry need no A/D update walk.
@@ -69,10 +75,13 @@ class Tlb
     /** Record that the dirty flag is now set in the leaf. */
     void setDirtyKnown(std::uint64_t eptp, Gpa gpa);
 
-    /** Drop every entry (INVEPT global equivalent). */
+    /** Drop every entry and the front (INVEPT global equivalent). */
     void flushAll();
 
-    /** Drop entries filled under @p eptp (INVEPT single-context). */
+    /**
+     * Drop entries filled under @p eptp, and the front (INVEPT
+     * single-context).
+     */
     void flushEptp(std::uint64_t eptp);
 
     /** Statistics. */
@@ -81,18 +90,28 @@ class Tlb
     std::uint64_t flushes() const { return flushCount; }
 
     /**
-     * Invalidation epoch for L0 micro-caches. A remembered
-     * translation is only as fresh as the epoch it was stamped with:
-     * serve it again iff the epoch still matches.
+     * The front line for @p access at @p gpa's page under @p eptp:
+     * the host page when one is held, else nullopt. Counts nothing;
+     * the caller counts a hit as an L0 hit.
      */
-    std::uint64_t epoch() const { return epochCount; }
+    std::optional<Hpa>
+    front(Access access, std::uint64_t eptp, Gpa gpa) const
+    {
+        const Gpa page = pageAlignDown(gpa);
+        const FrontLine &line =
+            frontLines[static_cast<unsigned>(access)][frontIndex(eptp, page)];
+        if (line.eptp == eptp && line.gpaPage == page)
+            return line.hpaPage;
+        return std::nullopt;
+    }
 
     /**
-     * Bump the epoch without touching entries. Called by the vCPU on
-     * VMFUNC / EPTP activation: the Tlb itself survives the switch
-     * (EPTP-tagged), but L0 caches are conservatively invalidated.
+     * Put the entry for @p gpa's page under @p eptp into the front
+     * for @p access, if it is valid, its perms allow @p access and,
+     * for a write, its dirty flag is known. Called after an access
+     * went through the entries, so the line copies what they hold.
      */
-    void bumpEpoch() { ++epochCount; }
+    void promote(Access access, std::uint64_t eptp, Gpa gpa);
 
     /** Number of currently valid entries (for tests). */
     std::size_t validCount() const;
@@ -108,6 +127,32 @@ class Tlb
         Perms perms = Perms::None;
     };
 
+    /** A front line; an empty one matches no page. */
+    struct FrontLine
+    {
+        std::uint64_t eptp = 0;
+        Gpa gpaPage = ~Gpa{0};
+        Hpa hpaPage = 0;
+    };
+
+    /** Front lines per access kind (a power of two). */
+    static constexpr unsigned frontBits = 4;
+
+    /**
+     * Multiplicative hash of (eptp, page) to a front line. ELISA's
+     * regions sit 1 TiB apart, so the low page bits alone collide.
+     */
+    static unsigned
+    frontIndex(std::uint64_t eptp, Gpa page)
+    {
+        return static_cast<unsigned>(
+            ((page ^ eptp) >> pageShift) * 0x9e3779b97f4a7c15ull >>
+            (64 - frontBits));
+    }
+
+    /** Drop the front lines mirroring (@p eptp, @p page). */
+    void dropFront(std::uint64_t eptp, Gpa page);
+
     std::size_t indexOf(std::uint64_t eptp, Gpa gpa) const;
 
     std::vector<Entry> entries;
@@ -115,7 +160,8 @@ class Tlb
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;
     std::uint64_t flushCount = 0;
-    std::uint64_t epochCount = 0;
+    /** By ept::Access, then frontIndex. */
+    std::array<std::array<FrontLine, 1u << frontBits>, 3> frontLines{};
 
     /** Mirrored interned counters (null when not attached). */
     sim::StatSet *stats = nullptr;

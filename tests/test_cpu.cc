@@ -7,13 +7,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
+#include "base/bitops.hh"
 #include "base/units.hh"
 #include "cpu/exit.hh"
 #include "cpu/guest_view.hh"
 #include "cpu/vcpu.hh"
 #include "hv/hypervisor.hh"
+#include "sim/rng.hh"
 
 namespace
 {
@@ -320,15 +325,39 @@ TEST_F(CpuTest, L0StaleEntryNeverOutlivesProtectPlusInvept)
     EXPECT_EQ(view.read<std::uint64_t>(gpa), 2u);
 }
 
-TEST_F(CpuTest, L0InvalidatedByVmfuncEptpSwitch)
+TEST_F(CpuTest, L0LineNeverServesAnotherEptpAtTheSameGpa)
 {
     cpu::GuestView view(cpu);
     const Gpa gpa = 0x9000;
-    view.read<std::uint64_t>(gpa);
-    view.read<std::uint64_t>(gpa); // L0 hit
-    const std::uint64_t hits0 = cpu.stats().get("l0_hit");
+    view.write<std::uint64_t>(gpa, 0xaaaau);
+    EXPECT_EQ(view.read<std::uint64_t>(gpa), 0xaaaau); // read line filled
 
-    // Install a second context and bounce through it.
+    // A second context maps the same GPA to another frame.
+    ept::Ept other(hv.memory(), hv.allocator());
+    auto frame = hv.allocator().alloc();
+    hv.memory().write64(*frame, 0xbbbbu);
+    ASSERT_TRUE(other.map(gpa, *frame, ept::Perms::RW));
+    auto idx = hv.installEptp(cpu, other.eptp());
+    ASSERT_TRUE(idx);
+
+    cpu.vmfunc(0, *idx);
+    EXPECT_EQ(view.read<std::uint64_t>(gpa), 0xbbbbu);
+    view.write<std::uint64_t>(gpa, 0xccccu);
+    EXPECT_EQ(view.read<std::uint64_t>(gpa), 0xccccu);
+    cpu.vmfunc(0, 0);
+    EXPECT_EQ(view.read<std::uint64_t>(gpa), 0xaaaau);
+    EXPECT_EQ(hv.memory().read64(*frame), 0xccccu);
+    hv.allocator().free(*frame);
+}
+
+TEST_F(CpuTest, L0LineSurvivesVmfuncRoundTrip)
+{
+    const Gpa gpa = 0x9000;
+    {
+        cpu::GuestView view(cpu);
+        view.read<std::uint64_t>(gpa); // walk, fill, promote
+    }
+
     ept::Ept other(hv.memory(), hv.allocator());
     auto frame = hv.allocator().alloc();
     other.map(0x0, *frame, ept::Perms::RW);
@@ -337,13 +366,44 @@ TEST_F(CpuTest, L0InvalidatedByVmfuncEptpSwitch)
     cpu.vmfunc(0, *idx);
     cpu.vmfunc(0, 0);
 
-    // The switch bumped the epoch: the next access must revalidate
-    // against the shared Tlb instead of trusting the L0 line.
+    // Lines carry their EPTP: the switch leaves them, and a fresh view
+    // is served by the same line the first one filled.
+    const std::uint64_t hits0 = cpu.stats().get("l0_hit");
     const std::uint64_t tlb_hits0 = cpu.tlb().hits();
+    const SimNs t0 = cpu.clock().now();
+    cpu::GuestView view(cpu);
     view.read<std::uint64_t>(gpa);
-    EXPECT_EQ(cpu.stats().get("l0_hit"), hits0);
-    EXPECT_EQ(cpu.tlb().hits(), tlb_hits0 + 1);
+    EXPECT_EQ(cpu.stats().get("l0_hit"), hits0 + 1);
+    EXPECT_EQ(cpu.tlb().hits(), tlb_hits0);
+    EXPECT_EQ(cpu.clock().now() - t0, hv.cost().memAccessNs);
     hv.allocator().free(*frame);
+}
+
+TEST_F(CpuTest, WriteThroughReadFilledEntryPaysTheAdWalk)
+{
+    cpu::GuestView view(cpu);
+    const auto &cost = hv.cost();
+    const Gpa gpa = 0x230000;
+    view.read<std::uint64_t>(gpa); // walk + fill, not dirty
+    view.read<std::uint64_t>(gpa); // read line hit
+
+    // The read line must not serve the write: the entry is not known
+    // dirty, so the hardware re-walks to set the leaf's dirty flag.
+    const std::uint64_t ad0 = cpu.stats().get("ept_ad_update");
+    const std::uint64_t walks0 = cpu.stats().get("ept_walk");
+    SimNs t0 = cpu.clock().now();
+    view.write<std::uint64_t>(gpa, 1);
+    EXPECT_EQ(cpu.clock().now() - t0, cost.eptWalkNs + cost.memAccessNs);
+    EXPECT_EQ(cpu.stats().get("ept_ad_update"), ad0 + 1);
+    EXPECT_EQ(cpu.stats().get("ept_walk"), walks0);
+
+    // Now the write line holds it: a beat, nothing else.
+    const std::uint64_t hits0 = cpu.stats().get("l0_hit");
+    t0 = cpu.clock().now();
+    view.write<std::uint64_t>(gpa, 2);
+    EXPECT_EQ(cpu.clock().now() - t0, cost.memAccessNs);
+    EXPECT_EQ(cpu.stats().get("l0_hit"), hits0 + 1);
+    EXPECT_EQ(cpu.stats().get("ept_ad_update"), ad0 + 1);
 }
 
 TEST_F(CpuTest, CopyBytesOverlappingCrossPageMatchesChunkedModel)
@@ -394,5 +454,303 @@ TEST_F(CpuTest, CopyBytesOverlappingCrossPageMatchesChunkedModel)
     // Disjoint cross-page control case (frame-to-frame path).
     run_case(0x80, 3 * pageSize + 0x40, pageSize + 17);
 }
+
+// ---------------------------------------------------------------------
+// Translation oracle: the CPU's access path (L0 front, Tlb, walk)
+// against a reference that has no front: the hardware walk plus
+// Tlb::lookup, with the GuestView's charging rules. Bytes, the sim
+// clock and every translation counter must agree after every access,
+// across EPTP switches, remaps with and without INVEPT, and fills that
+// evict Tlb entries.
+// ---------------------------------------------------------------------
+
+/** The oracle's vCPU makes no hypercalls. */
+class NoHypercalls : public cpu::HypercallSink
+{
+  public:
+    std::uint64_t
+    handleHypercall(cpu::Vcpu &, const cpu::HypercallArgs &) override
+    {
+        ADD_FAILURE() << "unexpected hypercall";
+        return 0;
+    }
+};
+
+/** The specification of one translated access, without the front. */
+class ReferenceTranslator
+{
+  public:
+    ReferenceTranslator(const mem::HostMemory &memory,
+                        const sim::CostModel &cost)
+        : memory(memory), cost(cost)
+    {
+    }
+
+    /**
+     * Translate the page-bounded chunk [@p gpa, +@p len) for
+     * @p access under @p eptp, charging and counting like the CPU.
+     * @return the host address, or nullopt on an EPT violation.
+     */
+    std::optional<Hpa>
+    chunk(std::uint64_t eptp, Gpa gpa, std::uint64_t len,
+          ept::Access access)
+    {
+        const bool is_write = access == ept::Access::Write;
+        auto xlat = tlb.lookup(eptp, gpa);
+        if (!xlat) {
+            xlat = ept::hardwareWalk(memory, eptp, gpa);
+            ns += cost.eptWalkNs;
+            ++walks;
+            if (xlat)
+                tlb.fill(eptp, gpa, *xlat, is_write);
+        } else if (is_write && !tlb.dirtyKnown(eptp, gpa)) {
+            tlb.setDirtyKnown(eptp, gpa);
+            ns += cost.eptWalkNs;
+            ++adUpdates;
+        }
+        ns += cost.memAccessNs * divCeil(std::max<std::uint64_t>(len, 1), 8);
+        if (!xlat || !ept::permits(xlat->perms, ept::permsNeeded(access))) {
+            ++violations;
+            return std::nullopt;
+        }
+        return xlat->hpa;
+    }
+
+    /**
+     * Split [@p gpa, +@p len) into page chunks as readBytes and
+     * writeBytes do; stops after the first violating chunk.
+     * @return the translated (hpa, len) chunks and whether all were.
+     */
+    std::pair<std::vector<std::pair<Hpa, std::uint64_t>>, bool>
+    range(std::uint64_t eptp, Gpa gpa, std::uint64_t len,
+          ept::Access access)
+    {
+        std::vector<std::pair<Hpa, std::uint64_t>> chunks;
+        while (len > 0) {
+            const std::uint64_t in_page =
+                std::min<std::uint64_t>(len, pageSize - (gpa & pageMask));
+            const auto hpa = chunk(eptp, gpa, in_page, access);
+            if (!hpa)
+                return {chunks, false};
+            chunks.emplace_back(*hpa, in_page);
+            gpa += in_page;
+            len -= in_page;
+        }
+        return {chunks, true};
+    }
+
+    ept::Tlb tlb; ///< the vCPU's geometry; its front is never used
+    SimNs ns = 0;
+    std::uint64_t walks = 0;
+    std::uint64_t adUpdates = 0;
+    std::uint64_t violations = 0;
+
+  private:
+    const mem::HostMemory &memory;
+    const sim::CostModel &cost;
+};
+
+class TranslationOracle : public ::testing::TestWithParam<std::uint64_t>
+{
+  protected:
+    static constexpr unsigned contexts = 3;
+    static constexpr unsigned frameCount = 48;
+
+    TranslationOracle()
+        : memory(32 * MiB), allocator(32 * MiB / pageSize),
+          cpu(0, 1, memory, allocator, cost, &sink), ref(memory, cost)
+    {
+        // ELISA's regions sit 1 TiB apart. Within each, pages 1024
+        // apart share a slot of the 1024-entry Tlb under one EPTP and
+        // force evicting fills, and eight neighbouring pages give the
+        // same GPA under two EPTPs a shared front line now and then.
+        for (Gpa base : {Gpa{0x0}, Gpa{0x6000'0000'0000},
+                         Gpa{0x7e00'0000'0000}, Gpa{0x7f00'0000'0000}}) {
+            for (std::uint64_t page :
+                 {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 1024u, 2048u})
+                pages.push_back(base + page * pageSize);
+        }
+        for (unsigned f = 0; f < frameCount; ++f) {
+            frames.push_back(*allocator.alloc());
+            for (std::uint64_t off = 0; off < pageSize; off += 8)
+                memory.write64(frames.back() + off, rng.next());
+        }
+        for (unsigned c = 0; c < contexts; ++c) {
+            epts.push_back(std::make_unique<ept::Ept>(memory, allocator));
+            for (Gpa page : pages) {
+                if (rng.chance(0.85))
+                    epts[c]->map(page, randomFrame(), randomPerms());
+            }
+            cpu.eptpList().set(c, epts[c]->eptp());
+        }
+        cpu.activateEptp(0);
+    }
+
+    Hpa randomFrame() { return frames[rng.below(frames.size())]; }
+
+    ept::Perms
+    randomPerms()
+    {
+        static constexpr ept::Perms perms[] = {
+            ept::Perms::Read, ept::Perms::RW, ept::Perms::RX,
+            ept::Perms::RWX};
+        return perms[rng.below(4)];
+    }
+
+    Gpa
+    randomGpa()
+    {
+        return pages[rng.below(pages.size())] + rng.below(pageSize);
+    }
+
+    std::uint64_t
+    stat(const char *name)
+    {
+        return cpu.stats().get(name);
+    }
+
+    /** Run step @p n: one random operation, then the checks. */
+    void step(std::uint64_t n);
+
+    sim::Rng rng{GetParam()};
+    sim::CostModel cost;
+    NoHypercalls sink;
+    mem::HostMemory memory;
+    mem::FrameAllocator allocator;
+    cpu::Vcpu cpu;
+    ReferenceTranslator ref;
+    std::vector<Gpa> pages;
+    std::vector<Hpa> frames;
+    std::vector<std::unique_ptr<ept::Ept>> epts;
+    unsigned active = 0;
+    std::unique_ptr<cpu::GuestView> view =
+        std::make_unique<cpu::GuestView>(cpu);
+};
+
+void
+TranslationOracle::step(std::uint64_t n)
+{
+    const std::uint64_t eptp = epts[active]->eptp();
+    const unsigned op = static_cast<unsigned>(rng.below(100));
+    if (op < 5) {
+        // A fresh view: the front must not care who filled it.
+        view = std::make_unique<cpu::GuestView>(cpu);
+    } else if (op < 12) {
+        // VMFUNC, now and then through an empty list slot.
+        const auto index = static_cast<EptpIndex>(rng.below(contexts + 1));
+        ref.ns += cost.vmfuncNs;
+        if (index < contexts) {
+            cpu.vmfunc(0, index);
+            active = index;
+        } else {
+            EXPECT_THROW(cpu.vmfunc(0, index), cpu::VmExitEvent);
+        }
+    } else if (op < 18) {
+        // Remap or protect a page; INVEPT (global, single-context) or
+        // none, in which case both sides may serve the stale entry.
+        const unsigned c = static_cast<unsigned>(rng.below(contexts));
+        const Gpa page = pages[rng.below(pages.size())];
+        if (rng.chance(0.5)) {
+            epts[c]->unmap(page);
+            if (rng.chance(0.8))
+                epts[c]->map(page, randomFrame(), randomPerms());
+        } else {
+            epts[c]->protect(page, randomPerms());
+        }
+        switch (rng.below(3)) {
+          case 0:
+            cpu.tlb().flushAll();
+            ref.tlb.flushAll();
+            break;
+          case 1:
+            cpu.tlb().flushEptp(epts[c]->eptp());
+            ref.tlb.flushEptp(epts[c]->eptp());
+            break;
+          default:
+            break;
+        }
+    } else if (op < 30) {
+        const Gpa gpa = randomGpa();
+        const bool ok = ref.chunk(eptp, gpa, 8, ept::Access::Exec)
+                            .has_value();
+        bool threw = false;
+        try {
+            view->fetchCheck(gpa);
+        } catch (const cpu::VmExitEvent &) {
+            threw = true;
+        }
+        EXPECT_EQ(threw, !ok) << "exec at " << std::hex << gpa;
+    } else {
+        // Mostly small accesses; some cross a page.
+        const bool is_write = op >= 65;
+        const Gpa gpa = randomGpa();
+        const std::uint64_t len =
+            rng.chance(0.1) ? rng.between(1, 2 * pageSize)
+                            : rng.between(1, 64);
+        const auto [chunks, ok] = ref.range(
+            eptp, gpa, len,
+            is_write ? ept::Access::Write : ept::Access::Read);
+        std::vector<std::uint8_t> data(len);
+        if (is_write) {
+            for (auto &b : data)
+                b = static_cast<std::uint8_t>(rng.next());
+        }
+        bool threw = false;
+        try {
+            if (is_write)
+                view->writeBytes(gpa, data.data(), len);
+            else
+                view->readBytes(gpa, data.data(), len);
+        } catch (const cpu::VmExitEvent &) {
+            threw = true;
+        }
+        EXPECT_EQ(threw, !ok) << (is_write ? "write" : "read") << " at "
+                              << std::hex << gpa << " len " << len;
+        // Every chunk the reference translated was copied, to or from
+        // the frame the reference named. Two pages may map one frame:
+        // a write chunk that a later one overwrote is not checked.
+        std::uint64_t done = 0;
+        for (std::size_t i = 0; i < chunks.size(); ++i) {
+            const auto [hpa, n] = chunks[i];
+            const bool overwritten =
+                is_write &&
+                std::any_of(chunks.begin() + i + 1, chunks.end(),
+                            [&](const auto &later) {
+                                return later.first < hpa + n &&
+                                       hpa < later.first + later.second;
+                            });
+            std::vector<std::uint8_t> host(n);
+            memory.read(hpa, host.data(), n);
+            EXPECT_TRUE(overwritten ||
+                        std::equal(host.begin(), host.end(),
+                                   data.begin() + done))
+                << "bytes differ at " << std::hex << gpa + done;
+            done += n;
+        }
+    }
+
+    EXPECT_EQ(cpu.clock().now(), ref.ns) << "step " << n;
+    EXPECT_EQ(stat("tlb_miss"), ref.tlb.misses()) << "step " << n;
+    EXPECT_EQ(stat("ept_walk"), ref.walks) << "step " << n;
+    EXPECT_EQ(stat("ept_ad_update"), ref.adUpdates) << "step " << n;
+    EXPECT_EQ(stat("ept_violation"), ref.violations) << "step " << n;
+    EXPECT_EQ(stat("l0_hit") + stat("tlb_hit"), ref.tlb.hits())
+        << "step " << n;
+}
+
+TEST_P(TranslationOracle, FrontMatchesWalkPlusTlbReference)
+{
+    for (std::uint64_t n = 0; n < 20000 && !HasFailure(); ++n)
+        step(n);
+    // The run must have exercised every path it checks.
+    EXPECT_GT(stat("l0_hit"), 0u);
+    EXPECT_GT(stat("tlb_hit"), 0u);
+    EXPECT_GT(stat("ept_ad_update"), 0u);
+    EXPECT_GT(stat("ept_violation"), 0u);
+    EXPECT_GT(stat("tlb_flush"), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TranslationOracle,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 } // namespace

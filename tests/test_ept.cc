@@ -383,34 +383,119 @@ TEST(Tlb, AttachedStatsMirrorHitMissFlush)
     EXPECT_EQ(stats.get("tlb_flush"), 2u);
 }
 
-TEST(Tlb, EpochBumpsOnFillFlushAndExplicitBump)
+// The front (the CPU's L0): lines mirror entries exactly.
+
+TEST(Tlb, PromoteMirrorsOnlyWhatTheEntryAllows)
 {
     Tlb tlb(64);
     const std::uint64_t eptp = 0x10000 | 0x1e;
-    const std::uint64_t e0 = tlb.epoch();
+    EXPECT_FALSE(tlb.front(Access::Read, eptp, 0x1000)); // no entry
+    tlb.promote(Access::Read, eptp, 0x1000);
+    EXPECT_FALSE(tlb.front(Access::Read, eptp, 0x1000));
 
-    // Lookups never move the epoch.
-    (void)tlb.lookup(eptp, 0x1000);
-    EXPECT_EQ(tlb.epoch(), e0);
-
-    // A fill may evict: epoch must advance.
     tlb.fill(eptp, 0x1000, Translation{0x111000, Perms::RW});
-    const std::uint64_t e1 = tlb.epoch();
-    EXPECT_GT(e1, e0);
+    for (Access a : {Access::Read, Access::Write, Access::Exec})
+        tlb.promote(a, eptp, 0x1234);
+    ASSERT_TRUE(tlb.front(Access::Read, eptp, 0x1fff));
+    EXPECT_EQ(*tlb.front(Access::Read, eptp, 0x1fff), 0x111000u);
+    // Not executable; writable but the leaf is not known dirty yet.
+    EXPECT_FALSE(tlb.front(Access::Exec, eptp, 0x1000));
+    EXPECT_FALSE(tlb.front(Access::Write, eptp, 0x1000));
+    tlb.setDirtyKnown(eptp, 0x1000);
+    tlb.promote(Access::Write, eptp, 0x1000);
+    EXPECT_TRUE(tlb.front(Access::Write, eptp, 0x1000));
+    // Neither the neighbour page nor another EPTP is served.
+    EXPECT_FALSE(tlb.front(Access::Read, eptp, 0x2000));
+    EXPECT_FALSE(tlb.front(Access::Read, 0x20000 | 0x1e, 0x1000));
+    // Lookups through the front count nothing.
+    EXPECT_EQ(tlb.hits() + tlb.misses(), 0u);
+}
 
-    (void)tlb.lookup(eptp, 0x1000);
-    EXPECT_EQ(tlb.epoch(), e1);
+TEST(Tlb, FrontLineNeverServesAnotherEptp)
+{
+    Tlb tlb;
+    const std::uint64_t a = 0x31000 | 0x1e;
+    const std::uint64_t b = 0x46000 | 0x1e;
+    // The same GPA under two EPTPs, over enough pages that some pairs
+    // share a front line: each EPTP sees its own frame or nothing.
+    unsigned shared = 0;
+    for (Gpa gpa = 0; gpa < 256 * pageSize; gpa += pageSize) {
+        tlb.fill(a, gpa, Translation{0xaaa000, Perms::Read});
+        tlb.promote(Access::Read, a, gpa);
+        tlb.fill(b, gpa, Translation{0xbbb000, Perms::Read});
+        tlb.promote(Access::Read, b, gpa);
+        const auto fa = tlb.front(Access::Read, a, gpa);
+        const auto fb = tlb.front(Access::Read, b, gpa);
+        ASSERT_TRUE(fb);
+        EXPECT_EQ(*fb, 0xbbb000u);
+        if (fa)
+            EXPECT_EQ(*fa, 0xaaa000u) << std::hex << gpa;
+        else
+            ++shared;
+    }
+    EXPECT_GT(shared, 0u);
+}
 
-    tlb.flushEptp(eptp);
-    const std::uint64_t e2 = tlb.epoch();
-    EXPECT_GT(e2, e1);
+TEST(Tlb, FillDropsExactlyTheEvictedEntrysLines)
+{
+    Tlb tlb(64);
+    const std::uint64_t eptp = 0x10000 | 0x1e;
+    // 64 pages apart: the same slot of the 64-entry Tlb.
+    const Gpa victim = 0x1000;
+    const Gpa rival = victim + 64 * pageSize;
+    const Gpa other = 0x5000; // another slot
+    tlb.fill(eptp, victim, Translation{0xaaa000, Perms::RW}, true);
+    tlb.fill(eptp, other, Translation{0xccc000, Perms::RW}, true);
+    for (Access a : {Access::Read, Access::Write}) {
+        tlb.promote(a, eptp, victim);
+        tlb.promote(a, eptp, other);
+    }
+    for (Access a : {Access::Read, Access::Write}) {
+        ASSERT_TRUE(tlb.front(a, eptp, victim));
+        ASSERT_TRUE(tlb.front(a, eptp, other));
+    }
 
+    // A lookup, a dirty update or a fill of another slot drops nothing.
+    (void)tlb.lookup(eptp, rival);
+    tlb.setDirtyKnown(eptp, other);
+    tlb.fill(eptp, 0x9000, Translation{0xddd000, Perms::RW});
+    EXPECT_TRUE(tlb.front(Access::Read, eptp, victim));
+
+    tlb.fill(eptp, rival, Translation{0xbbb000, Perms::RW});
+    for (Access a : {Access::Read, Access::Write}) {
+        EXPECT_FALSE(tlb.front(a, eptp, victim));
+        EXPECT_TRUE(tlb.front(a, eptp, other));
+    }
+
+    // Refilling an entry in place drops its lines too: the new
+    // translation may differ.
+    tlb.promote(Access::Read, eptp, rival);
+    ASSERT_TRUE(tlb.front(Access::Read, eptp, rival));
+    tlb.fill(eptp, rival, Translation{0xeee000, Perms::Read});
+    EXPECT_FALSE(tlb.front(Access::Read, eptp, rival));
+}
+
+TEST(Tlb, FlushesDropTheFront)
+{
+    Tlb tlb(64);
+    const std::uint64_t a = 0x10000 | 0x1e;
+    const std::uint64_t b = 0x20000 | 0x1e;
+    tlb.fill(a, 0x1000, Translation{0xaaa000, Perms::RW});
+    tlb.promote(Access::Read, a, 0x1000);
+    ASSERT_TRUE(tlb.front(Access::Read, a, 0x1000));
+    // A single-context INVEPT of another EPTP drops the front, not
+    // the entries it does not name.
+    tlb.flushEptp(b);
+    EXPECT_FALSE(tlb.front(Access::Read, a, 0x1000));
+    EXPECT_TRUE(tlb.lookup(a, 0x1000));
+
+    tlb.promote(Access::Read, a, 0x1000);
+    ASSERT_TRUE(tlb.front(Access::Read, a, 0x1000));
     tlb.flushAll();
-    const std::uint64_t e3 = tlb.epoch();
-    EXPECT_GT(e3, e2);
-
-    tlb.bumpEpoch();
-    EXPECT_GT(tlb.epoch(), e3);
+    EXPECT_FALSE(tlb.front(Access::Read, a, 0x1000));
+    // Nothing is left to promote.
+    tlb.promote(Access::Read, a, 0x1000);
+    EXPECT_FALSE(tlb.front(Access::Read, a, 0x1000));
 }
 
 // ---------------------------------------------------------------------
